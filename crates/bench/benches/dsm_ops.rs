@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig, FastSubstrate};
-use tm_gm::gm_cluster;
+use tm_gm::gm_cluster_driven;
 use tm_sim::clock::shared_clock;
 use tm_sim::SimParams;
 use tmk::diff::Diff;
@@ -94,7 +94,7 @@ fn bench_diff_ops(c: &mut Criterion) {
 
 fn bench_framing_ops(c: &mut Criterion) {
     let params = Arc::new(SimParams::paper_testbed());
-    let (_f, board, mut nics) = gm_cluster(2, Arc::clone(&params));
+    let (_f, board, mut nics) = gm_cluster_driven(2, Arc::clone(&params));
     let cfg = FastConfig::paper(&params);
     let mut rx = FastSubstrate::new(
         nics.pop().unwrap(),

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tm_fast::{run_fast_dsm, FastConfig, FastSubstrate};
-use tm_gm::gm_cluster;
+use tm_gm::gm_cluster_driven;
 use tm_sim::clock::shared_clock;
 use tm_sim::SimParams;
 use tmk::diff::Diff;
@@ -99,7 +99,7 @@ fn main() {
 
     // --- framing path ----------------------------------------------------
     let params = Arc::new(SimParams::paper_testbed());
-    let (_f, board, mut nics) = gm_cluster(2, Arc::clone(&params));
+    let (_f, board, mut nics) = gm_cluster_driven(2, Arc::clone(&params));
     let cfg = FastConfig::paper(&params);
     let mut rx = FastSubstrate::new(
         nics.pop().unwrap(),

@@ -1,24 +1,21 @@
-//! Wall-clock cost of determinism, recorded as
-//! `results/BENCH_lockstep.json` so successive PRs can watch the
-//! lockstep scheduler's overhead trajectory.
+//! Wall-clock cost of the lockstep scheduler, recorded as
+//! `results/BENCH_lockstep.json` so successive PRs can watch its
+//! trajectory.
 //!
 //! The workload is the same 4-writer diff storm as `bench_overlap`: the
 //! most scheduler-hostile pattern in the suite (every fault wave is a
 //! burst of concurrent transmits racing for grants, plus the engine's
-//! non-blocking polls that lockstep must quiesce one by one). Virtual
-//! costs are identical in both regimes — the proptest battery in
-//! `tests/lockstep.rs` proves memory equivalence — so the only number
-//! that moves is real elapsed time.
+//! non-blocking polls that lockstep must quiesce one by one).
 //!
-//! Reported per regime: the minimum wall-clock over `REPS` runs (minimum,
-//! not mean — scheduler overhead is a floor, and the floor is what the
-//! two-phase grant protocol adds; the mean also pays the host's noise).
-//! Each round rotates which regime runs first: host noise is bursty
-//! enough that a fixed order systematically penalizes the later slots.
-//! Lockstep is measured under both token modes — the legacy single
-//! global reservation token and the default per-receiver tokens — so
-//! the JSON carries a before/after row pair for the concurrency work,
-//! and the modeled cost is asserted identical across all lockstep rows.
+//! Reported per token mode: the minimum wall-clock over `REPS` runs
+//! (minimum, not mean — scheduler overhead is a floor, and the floor is
+//! what the two-phase grant protocol adds; the mean also pays the host's
+//! noise). Each round rotates which mode runs first: host noise is
+//! bursty enough that a fixed order systematically penalizes the later
+//! slots. Both token modes are measured — the legacy single global
+//! reservation token and the default per-receiver tokens — so the JSON
+//! carries a before/after row pair for the concurrency work, and the
+//! modeled cost is asserted identical across every rep of both.
 //!
 //! Usage: `cargo run --release -p tm-bench --bin bench_lockstep [out.json]`
 
@@ -26,7 +23,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tm_fast::{run_fast_dsm, FastConfig};
-use tm_sim::{SchedMode, SimParams, TokenMode};
+use tm_sim::{SimParams, TokenMode};
 use tmk::{Substrate, Tmk, TmkConfig};
 
 const PAGES: usize = 64;
@@ -68,11 +65,10 @@ fn storm_body<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
     cost
 }
 
-/// One storm under `mode`/`tokens`; returns (wall-clock seconds, virtual
-/// read ns).
-fn run_once(mode: SchedMode, tokens: TokenMode) -> (f64, u64) {
+/// One storm under `tokens`; returns (wall-clock seconds, virtual read
+/// ns).
+fn run_once(tokens: TokenMode) -> (f64, u64) {
     let mut p = SimParams::paper_testbed();
-    p.sched = mode;
     p.tokens = tokens;
     let params = Arc::new(p);
     let cfg = FastConfig::paper(&params);
@@ -84,16 +80,14 @@ fn run_once(mode: SchedMode, tokens: TokenMode) -> (f64, u64) {
 /// One measurement slot: running minimum wall-clock plus every rep's
 /// virtual cost of the measured read.
 struct Slot {
-    mode: SchedMode,
     tokens: TokenMode,
     best: f64,
     virts: Vec<u64>,
 }
 
 impl Slot {
-    fn new(mode: SchedMode, tokens: TokenMode) -> Slot {
+    fn new(tokens: TokenMode) -> Slot {
         Slot {
-            mode,
             tokens,
             best: f64::INFINITY,
             virts: Vec::new(),
@@ -101,7 +95,7 @@ impl Slot {
     }
 
     fn rep(&mut self) {
-        let (wall, v) = run_once(self.mode, self.tokens);
+        let (wall, v) = run_once(self.tokens);
         self.best = self.best.min(wall);
         self.virts.push(v);
     }
@@ -112,42 +106,31 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "results/BENCH_lockstep.json".into());
 
-    // Reps are interleaved across the three regimes, and the within-round
+    // Reps are interleaved across the two modes, and the within-round
     // order rotates every round: host noise is bursty enough that the
-    // regime measured last in a fixed order reads measurably slower, so
-    // each regime must sample every slot equally. Best-of minimums are
+    // mode measured last in a fixed order reads measurably slower, so
+    // each mode must sample every slot equally. Best-of minimums are
     // what get reported.
     let mut slots = [
-        Slot::new(SchedMode::FreeRun, TokenMode::PerReceiver),
-        Slot::new(SchedMode::Lockstep, TokenMode::Single),
-        Slot::new(SchedMode::Lockstep, TokenMode::PerReceiver),
+        Slot::new(TokenMode::Single),
+        Slot::new(TokenMode::PerReceiver),
     ];
     for round in 0..REPS {
         for k in 0..slots.len() {
-            slots[(round + k) % 3].rep();
+            slots[(round + k) % slots.len()].rep();
         }
     }
-    let [free, single, lock] = slots;
-    let (free_wall, free_virts) = (free.best, free.virts);
+    let [single, lock] = slots;
     let (single_wall, single_virts) = (single.best, single.virts);
     let (lock_wall, lock_virts) = (lock.best, lock.virts);
-    let single_overhead = single_wall / free_wall.max(1e-9);
-    let overhead = lock_wall / free_wall.max(1e-9);
     println!(
         "{WRITERS}-writer diff storm ({PAGES} pages, best of {REPS}): \
-         freerun={free_wall:.4}s lockstep(single)={single_wall:.4}s ({single_overhead:.2}x) \
-         lockstep(per-receiver)={lock_wall:.4}s ({overhead:.2}x)"
+         single={single_wall:.4}s per-receiver={lock_wall:.4}s"
     );
-    println!(
-        "virtual read cost: freerun={free_virts:?}ns single={single_virts:?}ns \
-         per-receiver={lock_virts:?}ns"
-    );
-    // The determinism claim, measured: every lockstep rep prices the read
+    println!("virtual read cost: single={single_virts:?}ns per-receiver={lock_virts:?}ns");
+    // The determinism claim, measured: every rep prices the read
     // identically, and the token mode must not move the virtual schedule
     // at all — per-receiver tokens only buy wall-clock concurrency.
-    // (Free-run reps may legitimately disagree — concurrent writers
-    // racing the link-reservation CAS is exactly the jitter this
-    // scheduler exists to remove, so no cross-regime assert.)
     let lock_virt = lock_virts[0];
     assert!(
         lock_virts.iter().all(|&v| v == lock_virt),
@@ -161,11 +144,8 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"BENCH_lockstep\",\n  \"workload\": \"diff_storm\",\n  \
          \"writers\": {WRITERS},\n  \"pages\": {PAGES},\n  \"reps\": {REPS},\n  \
-         \"freerun_wall_s\": {free_wall:.4},\n  \
          \"lockstep_single_token_wall_s\": {single_wall:.4},\n  \
-         \"lockstep_single_token_overhead\": {single_overhead:.2},\n  \
-         \"lockstep_wall_s\": {lock_wall:.4},\n  \
-         \"lockstep_overhead\": {overhead:.2},\n  \"virtual_read_ns\": {lock_virt}\n}}\n"
+         \"lockstep_wall_s\": {lock_wall:.4},\n  \"virtual_read_ns\": {lock_virt}\n}}\n"
     );
     std::fs::write(&out_path, &json).expect("write BENCH_lockstep.json");
     println!("wrote {out_path}");

@@ -67,11 +67,9 @@ fn storm_body<S: Substrate>(tmk: &mut Tmk<S>) -> u64 {
 }
 
 fn run(writers: usize, engine: DiffFetch) -> u64 {
-    // `E2_SCHED=lockstep` runs the storm under the conservative lockstep
-    // scheduler (byte-reproducible; see `tm_sim::sched`); `bench_lockstep`
-    // measures the wall-clock price of that determinism on this same
-    // storm.
-    let params = Arc::new(tm_bench::bench_testbed());
+    // `bench_lockstep` measures the scheduler's wall-clock price on this
+    // same storm.
+    let params = Arc::new(tm_sim::SimParams::paper_testbed());
     let cfg = FastConfig::paper(&params);
     let tcfg = TmkConfig {
         diff_fetch: engine,

@@ -38,12 +38,11 @@ fn fault_plan() -> FaultPlan {
     plan
 }
 
-/// Paper testbed + the fault plan, under the scheduler regime picked by
-/// `E2_SCHED` (`freerun` | `lockstep`, see [`tm_bench::sched_mode`]).
-/// Under `lockstep` two invocations of this binary produce byte-identical
-/// stdout for every row, Barrier and Lock (indirect) included.
+/// Paper testbed + the fault plan. Two invocations of this binary
+/// produce byte-identical stdout for every row, Barrier and Lock
+/// (indirect) included.
 fn bench_params() -> SimParams {
-    let mut p = tm_bench::bench_testbed();
+    let mut p = SimParams::paper_testbed();
     p.faults = fault_plan();
     p
 }
@@ -504,17 +503,10 @@ fn main() {
         // Pipelined synchronization: the overlapped lock path must beat
         // the serial baseline on the TSP-like lock storm, and the stride
         // prefetcher must land hits (and help) on the SOR-like sweep.
-        // The storm's only ordering is the lock handoff itself (a spin on
-        // the turn marker), whose duration is schedule-dependent under
-        // freerun — these two comparisons always run under lockstep so
-        // the asserted margins are exact, not statistical.
-        let lockstep_params = || {
-            let mut p = bench_params();
-            p.sched = tm_sim::SchedMode::Lockstep;
-            Arc::new(p)
-        };
+        // The lockstep scheduler makes the asserted margins exact, not
+        // statistical.
         let run_lock = |lp: LockPath| {
-            let params = lockstep_params();
+            let params = Arc::new(bench_params());
             let cfg = FastConfig::paper(&params);
             let tcfg = TmkConfig {
                 lock_path: lp,
@@ -534,7 +526,7 @@ fn main() {
             "overlapped lock path ({lock_overlapped}) must beat serial ({lock_serial})"
         );
         let run_sweep = |depth: usize| {
-            let params = lockstep_params();
+            let params = Arc::new(bench_params());
             let cfg = FastConfig::paper(&params);
             let tcfg = TmkConfig {
                 prefetch_depth: depth,

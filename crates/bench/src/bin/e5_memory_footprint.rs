@@ -12,13 +12,13 @@ use std::sync::Arc;
 
 use tm_bench::print_header;
 use tm_fast::{FastConfig, FastSubstrate};
-use tm_gm::gm_cluster;
+use tm_gm::gm_cluster_driven;
 use tm_sim::clock::shared_clock;
 use tm_sim::SimParams;
 
 fn footprint(n: usize, rendezvous: bool) -> (usize, usize) {
     let params = Arc::new(SimParams::paper_testbed());
-    let (_f, board, mut nics) = gm_cluster(n, Arc::clone(&params));
+    let (_f, board, mut nics) = gm_cluster_driven(n, Arc::clone(&params));
     let mut cfg = FastConfig::paper(&params);
     cfg.rendezvous = rendezvous;
     let nic = nics.remove(0);

@@ -176,29 +176,10 @@ pub fn run_spec(transport: Transport, n: usize, spec: &AppSpec) -> Ns {
     run_spec_with(transport, n, spec, &want)
 }
 
-/// Scheduler regime for the bench binaries, from `E2_SCHED`: `freerun`
-/// (the default) or `lockstep`. Under `lockstep` every row of every
-/// experiment is byte-reproducible across invocations (see
-/// `tm_sim::sched`); the pinned `results/*.txt` files are regenerated in
-/// that regime. Free-run output is pinned only for rows whose message
-/// order is serialized by data dependencies.
-pub fn sched_mode() -> tm_sim::SchedMode {
-    let v = std::env::var("E2_SCHED").unwrap_or_default();
-    tm_sim::SchedMode::parse(&v)
-        .unwrap_or_else(|| panic!("unknown E2_SCHED scheduler {v:?} (freerun|lockstep)"))
-}
-
-/// The paper testbed under the [`sched_mode`] regime.
-pub fn bench_testbed() -> SimParams {
-    let mut p = SimParams::paper_testbed();
-    p.sched = sched_mode();
-    p
-}
-
 /// Like [`run_spec`] but with a precomputed sequential reference — sweep
 /// binaries compute the reference once per problem instance.
 pub fn run_spec_with(transport: Transport, n: usize, spec: &AppSpec, want: &AppResult) -> Ns {
-    let params = Arc::new(bench_testbed());
+    let params = Arc::new(SimParams::paper_testbed());
     let outcomes = match transport {
         Transport::Fast => {
             let cfg = FastConfig::paper(&params);

@@ -12,9 +12,9 @@
 //! compile time — the paper's "bound to TreadMarks at compile time", with
 //! zero dispatch overhead.
 //!
-//! # Scheduling contract (lockstep mode)
+//! # Scheduling contract
 //!
-//! Under `SchedMode::Lockstep` the fabric serializes transmits through a
+//! The fabric serializes transmits through a
 //! conservative two-phase request/grant protocol (`tm_sim::sched`). A
 //! substrate participates by declaring a *lookahead* — a lower bound on
 //! the virtual delay between the moment its node becomes preemptible and
@@ -45,7 +45,8 @@ pub enum Chan {
 pub enum ShutdownPoll {
     /// Every peer has shut down — safe to exit.
     Done,
-    /// Peers remain but nothing arrived this quantum; poll again.
+    /// Peers remain and a datagram arrived that completed no message
+    /// (a fragment, or a malformed frame); poll again.
     Quiet,
     /// A (possibly duplicate) message arrived; the runtime should serve
     /// requests so retransmitting peers can finish.

@@ -591,12 +591,12 @@ impl Substrate for FastSubstrate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_gm::gm_cluster;
+    use tm_gm::gm_cluster_driven;
     use tm_sim::clock::shared_clock;
 
     fn pair(rendezvous: bool) -> (FastSubstrate, FastSubstrate) {
         let params = Arc::new(SimParams::paper_testbed());
-        let (_f, board, mut nics) = gm_cluster(2, Arc::clone(&params));
+        let (_f, board, mut nics) = gm_cluster_driven(2, Arc::clone(&params));
         let mut cfg = FastConfig::paper(&params);
         cfg.rendezvous = rendezvous;
         let b = FastSubstrate::new(
@@ -770,7 +770,7 @@ mod tests {
         // The whole point of connection multiplexing: the substrate uses
         // ports 1 and 2 regardless of cluster size.
         let params = Arc::new(SimParams::paper_testbed());
-        let (_f, board, nics) = gm_cluster(8, Arc::clone(&params));
+        let (_f, board, nics) = gm_cluster_driven(8, Arc::clone(&params));
         for nic in nics {
             let s = FastSubstrate::new(
                 nic,

@@ -26,14 +26,6 @@ const DGRAM_LIMIT: usize = 60 * 1024;
 const FRAME_DATA: u8 = 0;
 const FRAME_FRAG: u8 = 1;
 
-/// Wall-clock backstop for virtual-deadline waits: if no peer thread makes
-/// progress for this long, something real (not simulated) is wrong.
-const HANG_GUARD: std::time::Duration = std::time::Duration::from_secs(1);
-
-/// Shorter wall guard for the shutdown linger, where "nothing arrives"
-/// is the expected steady state (peers exit without a goodbye).
-const LINGER_GUARD: std::time::Duration = std::time::Duration::from_millis(25);
-
 /// The per-node UDP/GM endpoint.
 pub struct UdpSubstrate {
     udp: UdpStack,
@@ -162,28 +154,11 @@ impl UdpSubstrate {
         }
     }
 
-    /// One shutdown-linger quantum: wait up to an rto (virtual) / the
-    /// linger guard (wall clock) for late traffic, handing back whatever
-    /// arrives. Shared by the cluster-wide and subtree-scoped lingers.
-    fn linger_quantum(&mut self) -> ShutdownPoll {
-        let deadline = self.udp.clock().borrow().now() + self.udp.params().udp.rto;
-        match self
-            .udp
-            .recv_any_timeout(&[REQ_SOCK, REP_SOCK], deadline, LINGER_GUARD)
-        {
-            Some((sock, d)) => match self.handle(sock, d) {
-                Some(msg) => ShutdownPoll::Msg(msg),
-                None => ShutdownPoll::Quiet,
-            },
-            None => ShutdownPoll::Quiet,
-        }
-    }
-
-    /// Lockstep shutdown linger: block until a late datagram is served or
-    /// every watched peer's NIC deregistration lands as a scheduler
-    /// `Done` event. No wall-clock `peers_alive` poll and no rto quantum
-    /// count — both the served-message set and the lingering node's final
-    /// virtual clock are deterministic.
+    /// Shutdown linger: block until a late datagram is served or every
+    /// watched peer's NIC deregistration lands as a scheduler `Done`
+    /// event. No wall-clock liveness poll and no rto quantum count — both
+    /// the served-message set and the lingering node's final virtual
+    /// clock are deterministic.
     fn linger_done_watch(&mut self, watch: &[usize]) -> ShutdownPoll {
         match self.udp.recv_any_or_dead(&[REQ_SOCK, REP_SOCK], watch) {
             Some((sock, d)) => match self.handle(sock, d) {
@@ -198,12 +173,6 @@ impl UdpSubstrate {
     fn all_peers(&self) -> Vec<usize> {
         let me = self.udp.node();
         (0..self.udp.nprocs()).filter(|&i| i != me).collect()
-    }
-
-    /// Whether this cluster runs under the conservative lockstep
-    /// scheduler (selects the deterministic linger path).
-    fn lockstep(&self) -> bool {
-        self.udp.params().sched == tm_sim::SchedMode::Lockstep
     }
 }
 
@@ -284,9 +253,7 @@ impl Substrate for UdpSubstrate {
 
     fn next_incoming_until(&mut self, deadline: Ns) -> Option<IncomingMsg> {
         loop {
-            let (sock, d) = self
-                .udp
-                .recv_any_timeout(&[REQ_SOCK, REP_SOCK], deadline, HANG_GUARD)?;
+            let (sock, d) = self.udp.recv_any_timeout(&[REQ_SOCK, REP_SOCK], deadline)?;
             if let Some(msg) = self.handle(sock, d) {
                 return Some(msg);
             }
@@ -295,12 +262,10 @@ impl Substrate for UdpSubstrate {
 
     fn next_incoming_until_watching(&mut self, deadline: Ns, watch: &[usize]) -> WaitOutcome {
         loop {
-            match self.udp.recv_any_timeout_watching(
-                &[REQ_SOCK, REP_SOCK],
-                watch,
-                deadline,
-                HANG_GUARD,
-            ) {
+            match self
+                .udp
+                .recv_any_timeout_watching(&[REQ_SOCK, REP_SOCK], watch, deadline)
+            {
                 RecvOutcome::Datagram((sock, d)) => {
                     if let Some(msg) = self.handle(sock, d) {
                         return WaitOutcome::Msg(msg);
@@ -327,24 +292,12 @@ impl Substrate for UdpSubstrate {
     }
 
     fn shutdown_poll(&mut self) -> ShutdownPoll {
-        if self.lockstep() {
-            let watch = self.all_peers();
-            return self.linger_done_watch(&watch);
-        }
-        if !self.udp.peers_alive() {
-            return ShutdownPoll::Done;
-        }
-        self.linger_quantum()
+        let watch = self.all_peers();
+        self.linger_done_watch(&watch)
     }
 
     fn shutdown_poll_watching(&mut self, watch: &[usize]) -> ShutdownPoll {
-        if self.lockstep() {
-            return self.linger_done_watch(watch);
-        }
-        if !self.udp.peers_alive_in(watch) {
-            return ShutdownPoll::Done;
-        }
-        self.linger_quantum()
+        self.linger_done_watch(watch)
     }
 }
 
@@ -356,7 +309,7 @@ mod tests {
 
     fn pair() -> (UdpSubstrate, UdpSubstrate) {
         let params = Arc::new(SimParams::paper_testbed());
-        let (_f, mut nics) = Fabric::new(2, Arc::clone(&params));
+        let (_f, mut nics) = Fabric::new_driven(2, Arc::clone(&params));
         let b = UdpSubstrate::new(nics.pop().unwrap(), shared_clock(), Arc::clone(&params));
         let a = UdpSubstrate::new(nics.pop().unwrap(), shared_clock(), params);
         (a, b)

@@ -29,5 +29,7 @@ pub mod node;
 pub mod size;
 
 pub use memory::{DmaPool, PooledBuf, RegBook, Region};
-pub use node::{gm_cluster, FailureBoard, GmError, GmEvent, GmNode, MAPPER_PORT, NUM_PORTS};
+pub use node::{
+    gm_cluster, gm_cluster_driven, FailureBoard, GmError, GmEvent, GmNode, MAPPER_PORT, NUM_PORTS,
+};
 pub use size::{gm_max_length, gm_size, MAX_SIZE_CLASS};

@@ -136,8 +136,17 @@ pub fn gm_cluster(
     params: Arc<SimParams>,
 ) -> (Arc<Fabric>, Arc<FailureBoard>, Vec<NicHandle>) {
     let (fabric, nics) = Fabric::new(n, params);
-    let board = FailureBoard::new(n);
-    (fabric, board, nics)
+    (fabric, FailureBoard::new(n), nics)
+}
+
+/// [`gm_cluster`] on a driven fabric ([`Fabric::new_driven`]): for code
+/// that plays every node from one thread.
+pub fn gm_cluster_driven(
+    n: usize,
+    params: Arc<SimParams>,
+) -> (Arc<Fabric>, Arc<FailureBoard>, Vec<NicHandle>) {
+    let (fabric, nics) = Fabric::new_driven(n, params);
+    (fabric, FailureBoard::new(n), nics)
 }
 
 impl GmNode {
@@ -491,7 +500,7 @@ impl GmNode {
     /// Poll one port (`gm_receive`): non-blocking; returns a message whose
     /// arrival is at or before the node's current virtual time.
     ///
-    /// Under lockstep a miss is *settled* before it is reported: a packet
+    /// A miss is *settled* before it is reported: a packet
     /// whose virtual arrival is ≤ now may still be wall-clock in flight
     /// (its transmit granted but not yet pushed), and whether this poll
     /// sees it must not depend on thread timing. The NIC's
@@ -535,7 +544,7 @@ impl GmNode {
             }
             let floor = self.sched_floor();
             if self.nic.poll_quiesce(now, sig, floor) {
-                // Free-run, or lockstep with the miss settled.
+                // The miss is settled.
                 self.clock.borrow_mut().advance(gm.recv_poll_miss);
                 return Ok(None);
             }
@@ -606,9 +615,8 @@ impl GmNode {
                 self.clock.borrow_mut().wait_until(earliest + timeout + Ns(1));
                 continue;
             }
-            // Genuinely idle: park on the NIC channel (under lockstep,
-            // on the scheduler, carrying our floor so peers' grants are
-            // not blocked by a sleeping node).
+            // Genuinely idle: park on the scheduler, carrying our floor
+            // so peers' grants are not blocked by a sleeping node.
             let floor = self.sched_floor();
             let pkt = self.nic.recv_any_floored(&Self::port_filter(ports), floor);
             // Push it back through the demux by re-stashing: simplest is to
@@ -666,7 +674,7 @@ mod tests {
 
     fn two_nodes() -> (GmNode, GmNode) {
         let params = Arc::new(SimParams::paper_testbed());
-        let (_fabric, board, mut nics) = gm_cluster(2, Arc::clone(&params));
+        let (_fabric, board, mut nics) = gm_cluster_driven(2, Arc::clone(&params));
         let n1 = nics.pop().unwrap();
         let n0 = nics.pop().unwrap();
         let a = GmNode::new(n0, shared_clock(), Arc::clone(&params), Arc::clone(&board), 64 << 20);

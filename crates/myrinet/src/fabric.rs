@@ -1,27 +1,24 @@
 //! The switch fabric: per-link serialization and cut-through forwarding.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use tm_sim::{LockstepSched, Ns, SchedMode, SimParams};
+use tm_sim::{LockstepSched, Ns, SimParams};
 
 use crate::nic::NicHandle;
 use crate::packet::{NodeId, RawPacket, FRAME_OVERHEAD};
 
 /// One node's full-duplex link state: the virtual time at which each
-/// direction is next free. Updated with CAS loops so concurrent node
-/// threads serialize their occupancy correctly.
+/// direction is next free.
 ///
-/// Writer disciplines, audited for the lockstep scheduler's concurrent
-/// per-receiver grants: `tx_free` is only ever advanced by the owning
-/// node's own thread (a node has at most one transmit in flight), so it
-/// is effectively single-writer in *both* regimes. `rx_free` has many
-/// potential writers; under free-run they arbitrate by wall-clock CAS
-/// order, while under lockstep the per-receiver token makes the current
-/// grant holder the unique writer, and same-link grants are issued in
-/// virtual-key order — concurrent reservations on *distinct* rx links
+/// Each link has one writer at a time, so a reservation is a plain load
+/// and store. `tx_free` is only ever advanced by the owning node (a node
+/// has at most one transmit in flight). `rx_free` has many potential
+/// writers, but the lockstep scheduler's per-receiver token makes the
+/// current grant holder the unique one, and same-link grants are issued
+/// in virtual-key order — concurrent reservations on *distinct* rx links
 /// touch disjoint atomics and cannot perturb each other's occupancy
 /// sequence.
 struct LinkState {
@@ -35,23 +32,17 @@ pub struct Fabric {
     links: Vec<LinkState>,
     inboxes: Vec<Sender<RawPacket>>,
     /// Which nodes still hold their NIC (cleared by `NicHandle::drop`).
-    /// Shutdown protocols under fault injection poll this: the barrier
-    /// manager lingers, answering duplicate requests, until every peer is
-    /// gone.
+    /// The RPC engine reads this to stop retransmitting to a peer that
+    /// has left the fabric.
     alive: Vec<AtomicBool>,
-    /// Count of set flags in `alive`, so the shutdown-linger poll loop is
-    /// one atomic load instead of a full scan. Decremented *after* the
-    /// flag clears, so the count is always ≥ the number of set flags.
-    live: AtomicUsize,
     /// Extra switch traversals beyond the first (multi-stage fabrics for
     /// >16 nodes; the paper's 16-node testbed used a single crossbar).
     extra_hops: u32,
-    /// The conservative lockstep scheduler, present iff the cluster runs
-    /// under [`SchedMode::Lockstep`]. Every transmit then goes through a
-    /// two-phase request/grant keyed on virtual injection time; each rx
-    /// link's reservation CAS runs uncontended under its per-receiver
-    /// token (see [`LinkState`]).
-    sched: Option<Arc<LockstepSched>>,
+    /// The conservative lockstep scheduler. Every transmit goes through
+    /// a two-phase request/grant keyed on virtual injection time; each rx
+    /// link's reservation runs under its per-receiver token (see
+    /// [`LinkState`]).
+    sched: Arc<LockstepSched>,
     /// Sends that found the destination's inbox already closed: the
     /// receiver dropped its NIC while the packet was in flight. Always
     /// tolerated (a powered-off host simply eats late wire traffic) and
@@ -63,6 +54,24 @@ impl Fabric {
     /// Build a fabric for `n` nodes; returns the shared fabric plus one
     /// [`NicHandle`] per node (to be moved into that node's thread).
     pub fn new(n: usize, params: Arc<SimParams>) -> (Arc<Fabric>, Vec<NicHandle>) {
+        let sched = LockstepSched::new_with_tokens(n, params.tokens);
+        Fabric::build(n, params, sched)
+    }
+
+    /// A fabric whose nodes are all *driven*: one thread plays every node
+    /// in turn, so transmits grant in call order and a deadline wait on
+    /// an empty inbox times out at once (see [`tm_sim::sched`]). Unit
+    /// tests and single-threaded microbenchmarks use this.
+    pub fn new_driven(n: usize, params: Arc<SimParams>) -> (Arc<Fabric>, Vec<NicHandle>) {
+        let sched = LockstepSched::new_driven(n, params.tokens);
+        Fabric::build(n, params, sched)
+    }
+
+    fn build(
+        n: usize,
+        params: Arc<SimParams>,
+        sched: LockstepSched,
+    ) -> (Arc<Fabric>, Vec<NicHandle>) {
         assert!(n >= 1);
         let mut inboxes = Vec::with_capacity(n);
         let mut receivers: Vec<Receiver<RawPacket>> = Vec::with_capacity(n);
@@ -89,16 +98,13 @@ impl Fabric {
         }
         let extra_hops = 2 * (levels - 1);
         let alive = (0..n).map(|_| AtomicBool::new(true)).collect();
-        let sched = (params.sched == SchedMode::Lockstep)
-            .then(|| Arc::new(LockstepSched::new_with_tokens(n, params.tokens)));
         let fabric = Arc::new(Fabric {
             params,
             links,
             inboxes,
             alive,
-            live: AtomicUsize::new(n),
             extra_hops,
-            sched,
+            sched: Arc::new(sched),
             shutdown_races: AtomicU64::new(0),
         });
         let handles = receivers
@@ -115,58 +121,18 @@ impl Fabric {
 
     /// Mark a node's NIC as gone (called from `NicHandle::drop`).
     pub(crate) fn mark_dead(&self, node: NodeId) {
-        // Clear-then-decrement keeps `live` an upper bound on the set
-        // flags at every instant (a transient over-count only makes a
-        // linger poll spin once more, never exit early).
-        if self.alive[node].swap(false, Ordering::AcqRel) {
-            self.live.fetch_sub(1, Ordering::AcqRel);
-        }
-        if let Some(sched) = &self.sched {
-            sched.mark_done(node);
-        }
+        self.alive[node].store(false, Ordering::Release);
+        self.sched.mark_done(node);
     }
 
-    /// The lockstep scheduler, when this cluster runs under
-    /// [`SchedMode::Lockstep`].
-    pub fn sched(&self) -> Option<&Arc<LockstepSched>> {
-        self.sched.as_ref()
+    /// The cluster's lockstep scheduler.
+    pub fn sched(&self) -> &Arc<LockstepSched> {
+        &self.sched
     }
 
     /// How many in-flight packets hit an already-departed node's inbox.
     pub fn shutdown_races(&self) -> u64 {
         self.shutdown_races.load(Ordering::Relaxed)
-    }
-
-    /// Whether any node other than `me` still holds its NIC. O(1) via the
-    /// live count (the linger loops poll this on every quantum); checked
-    /// against the flag scan in debug builds.
-    pub fn others_alive(&self, me: NodeId) -> bool {
-        let fast = self.live_others(me);
-        #[cfg(debug_assertions)]
-        if !fast {
-            // Clear-then-decrement makes `live` an upper bound on the set
-            // flags at every instant, and both are monotone decreasing, so
-            // "count says dead" is the one verdict the scan can soundly
-            // contradict: a zero count with a flag still set means the
-            // fast path would end a linger while a peer could still
-            // retransmit. (fast=true with all flags clear is the benign
-            // transient of a `mark_dead` caught between its two steps.)
-            let slow = self
-                .alive
-                .iter()
-                .enumerate()
-                .any(|(i, a)| i != me && a.load(Ordering::Acquire));
-            debug_assert!(!slow, "live count dropped below set alive flags");
-        }
-        fast
-    }
-
-    fn live_others(&self, me: NodeId) -> bool {
-        let mut live = self.live.load(Ordering::Acquire);
-        if self.alive[me].load(Ordering::Acquire) {
-            live = live.saturating_sub(1);
-        }
-        live > 0
     }
 
     /// Whether any of `nodes` still holds its NIC. Tree-barrier shutdown
@@ -180,21 +146,12 @@ impl Fabric {
     }
 
     /// Reserve `dur` of occupancy on a link, starting no earlier than
-    /// `earliest`. Returns the actual start time.
+    /// `earliest`. Returns the actual start time. The caller is the
+    /// link's only writer (see [`LinkState`]).
     fn reserve(slot: &AtomicU64, earliest: Ns, dur: Ns) -> Ns {
-        let mut cur = slot.load(Ordering::Relaxed);
-        loop {
-            let start = cur.max(earliest.0);
-            match slot.compare_exchange_weak(
-                cur,
-                start + dur.0,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Ns(start),
-                Err(actual) => cur = actual,
-            }
-        }
+        let start = slot.load(Ordering::Acquire).max(earliest.0);
+        slot.store(start + dur.0, Ordering::Release);
+        Ns(start)
     }
 
     /// Inject a packet. `inject_time` is the virtual time at which the
@@ -224,8 +181,8 @@ impl Fabric {
     /// the receiving thread wakes at its virtual arrival, but carries
     /// `lost = true` so no payload is delivered.
     ///
-    /// Under [`SchedMode::Lockstep`] the sender's floor after the
-    /// transmit defaults to `inject_time`, which is sound only for
+    /// The sender's lockstep floor after the transmit defaults to
+    /// `inject_time`, which is sound only for
     /// callers whose successive injections are monotone (true for every
     /// in-tree transport's plain-send path). Fault paths that delay
     /// packets must use [`Fabric::transmit_floored`] with a clock-derived
@@ -251,8 +208,7 @@ impl Fabric {
     /// explicit lockstep floor. `floor_after` is a sound lower bound on
     /// the virtual time of *any* packet `src` may inject after this one —
     /// transports compute it as their clock's preemptible-window start
-    /// plus their declared lookahead. Ignored under
-    /// [`SchedMode::FreeRun`].
+    /// plus their declared lookahead.
     #[allow(clippy::too_many_arguments)]
     pub fn transmit_floored(
         &self,
@@ -281,17 +237,13 @@ impl Fabric {
         // key. While granted we hold `dst`'s rx-link reservation token.
         // Grants to *distinct* receivers may run this section
         // concurrently (per-receiver tokens), which stays deterministic
-        // because every atomic below is still single-writer at any
-        // instant: `links[src].tx_free` is only ever CASed by this
-        // node's own thread (one transmit per node at a time), and
-        // `links[dst].rx_free` only by the unique holder of `dst`'s
-        // token — same-receiver grants are serialized in virtual-key
-        // order, so each rx link's occupancy sequence is the one the
-        // fully serial schedule produces and the free-running path's
-        // wall-clock arbitration is gone.
-        if let Some(sched) = &self.sched {
-            sched.request_transmit(src, dst, inject_time, floor_after);
-        }
+        // because every link below has a single writer at any instant:
+        // `links[src].tx_free` is only ever written by this node (one
+        // transmit per node at a time), and `links[dst].rx_free` only by
+        // the unique holder of `dst`'s token — same-receiver grants are
+        // serialized in virtual-key order, so each rx link's occupancy
+        // sequence is the one the fully serial schedule produces.
+        self.sched.request_transmit(src, dst, inject_time, floor_after);
         // Occupy our tx link.
         let tx_start = Self::reserve(&self.links[src].tx_free, inject_time, wire);
         // Head reaches the switch; cut-through forwards it as soon as
@@ -302,11 +254,9 @@ impl Fabric {
         let arrival = rx_start + wire + net.nic_rx;
         let delivered =
             self.push(src, dst, src_port, dst_port, payload, arrival, directed, lost);
-        if let Some(sched) = &self.sched {
-            // Release `dst`'s rx-link token; credit the delivery (waking
-            // `dst` if parked) only if the packet actually landed.
-            sched.finish_transmit(src, if delivered { dst } else { src }, arrival);
-        }
+        // Release `dst`'s rx-link token; credit the delivery (waking
+        // `dst` if parked) only if the packet actually landed.
+        self.sched.finish_transmit(src, if delivered { dst } else { src }, arrival);
         arrival
     }
 
@@ -351,7 +301,7 @@ mod tests {
     use super::*;
 
     fn fabric(n: usize) -> (Arc<Fabric>, Vec<NicHandle>) {
-        Fabric::new(n, Arc::new(SimParams::paper_testbed()))
+        Fabric::new_driven(n, Arc::new(SimParams::paper_testbed()))
     }
 
     #[test]
@@ -376,6 +326,8 @@ mod tests {
         assert!(a2 - t > a1, "100KB should take longer than 10B");
     }
 
+    /// The occupancy rule: a reservation starts no earlier than the
+    /// link's previous one ends.
     #[test]
     fn link_contention_serializes() {
         let (f, _nics) = fabric(3);
@@ -420,15 +372,14 @@ mod tests {
         let (f, nics) = fabric(4);
         // Keep the NICs alive for the duration of the test; their Drop
         // would otherwise call mark_dead underneath us.
-        assert!(f.others_alive(0));
+        assert!(f.any_alive(&[1, 2, 3]));
         f.mark_dead(1);
         f.mark_dead(2);
-        assert_eq!(f.live.load(Ordering::Acquire), 2);
-        assert!(f.others_alive(0), "node 3 still up");
+        assert!(f.any_alive(&[1, 2, 3]), "node 3 still up");
         assert!(f.any_alive(&[3]));
         assert!(!f.any_alive(&[1, 2]));
         f.mark_dead(3);
-        assert!(!f.others_alive(0), "only we remain");
+        assert!(!f.any_alive(&[1, 2, 3]), "only we remain");
         assert!(f.any_alive(&[0]), "we are still alive");
         drop(nics);
     }
@@ -459,7 +410,7 @@ mod tests {
     fn lockstep_serializes_rx_contention_by_virtual_key() {
         use std::thread;
         let run = |stagger_ms: u64| -> Vec<(NodeId, Ns)> {
-            let params = Arc::new(SimParams::lockstep_testbed());
+            let params = Arc::new(SimParams::paper_testbed());
             let (_f, mut nics) = Fabric::new(3, params);
             let mut receiver = nics.remove(2);
             let mut senders = vec![];
@@ -486,34 +437,5 @@ mod tests {
         let slow = run(30);
         assert_eq!(fast, slow, "arrival schedule must not depend on wall clock");
         assert_eq!(fast[0].0, 1, "virtual key 1000 (node 1) must win the rx link");
-    }
-
-    #[test]
-    fn concurrent_reservations_never_overlap() {
-        use std::thread;
-        let (f, _nics) = fabric(2);
-        let wire = Ns::for_bytes(10_000 + FRAME_OVERHEAD, f.params().net.link_mb_s);
-        let mut handles = vec![];
-        for _ in 0..8 {
-            let f = Arc::clone(&f);
-            handles.push(thread::spawn(move || {
-                let mut starts = vec![];
-                for _ in 0..50 {
-                    let a = f.transmit(0, 1, 0, 0, Bytes::from(vec![0u8; 10_000]), Ns(0), None);
-                    starts.push(a);
-                }
-                starts
-            }));
-        }
-        let mut all: Vec<Ns> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort();
-        // 400 packets over one serialized link: arrivals must be spaced by
-        // at least the wire time of one packet.
-        for w in all.windows(2) {
-            assert!(w[1] - w[0] >= wire - Ns(2), "overlapping occupancy");
-        }
     }
 }

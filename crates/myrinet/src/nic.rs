@@ -29,9 +29,9 @@ pub enum DeadlineWatchRecv {
 /// A node's handle on its NIC. Owned by the node thread.
 ///
 /// Incoming packets land on one channel; the handle demultiplexes them into
-/// per-port queues on demand. Blocking receives park the OS thread — if the
-/// protocol above deadlocks, the simulation visibly hangs rather than
-/// producing wrong numbers.
+/// per-port queues on demand. Blocking receives park on the lockstep
+/// scheduler — if the protocol above deadlocks, the scheduler panics with
+/// the parked-node set rather than producing wrong numbers.
 pub struct NicHandle {
     node: NodeId,
     rx: Receiver<RawPacket>,
@@ -58,65 +58,42 @@ impl NicHandle {
         &self.fabric
     }
 
-    /// Whether any peer node still holds its NIC (see
-    /// [`Fabric::others_alive`]).
-    pub fn others_alive(&self) -> bool {
-        self.fabric.others_alive(self.node)
-    }
-
     /// Whether any of `nodes` still holds its NIC (see
-    /// [`Fabric::any_alive`]). Subtree-scoped shutdown lingers use this.
+    /// [`Fabric::any_alive`]). The RPC engine's give-up budget uses this.
     pub fn any_alive(&self, nodes: &[NodeId]) -> bool {
         self.fabric.any_alive(nodes)
     }
 
-    /// Whether this cluster runs under the conservative lockstep
-    /// scheduler (see [`tm_sim::sched`]).
-    pub fn lockstep(&self) -> bool {
-        self.fabric.sched().is_some()
-    }
-
-    /// Declare this node's substrate lookahead to the lockstep scheduler
-    /// (no-op under free-run): a sound lower bound on the virtual time
-    /// between the start of the node's preemptible window and its next
-    /// packet reaching the wire. Transports call this once at
-    /// construction.
+    /// Declare this node's substrate lookahead to the lockstep
+    /// scheduler: a sound lower bound on the virtual time between the
+    /// start of the node's preemptible window and its next packet
+    /// reaching the wire. Transports call this once at construction.
     pub fn declare_lookahead(&self, la: Ns) {
-        if let Some(sched) = self.fabric.sched() {
-            sched.declare_lookahead(self.node, la);
-        }
+        self.fabric.sched().declare_lookahead(self.node, la);
     }
 
-    /// This node's current delivery count under lockstep (0 under
-    /// free-run): the race-detection signature for
-    /// [`NicHandle::poll_quiesce`]. Sample it *before* draining the
+    /// This node's current delivery count: the race-detection signature
+    /// for [`NicHandle::poll_quiesce`]. Sample it *before* draining the
     /// channel, so a delivery that lands between the drain and the
     /// quiesce bounces the quiesce instead of being missed.
     pub fn delivery_signature(&self) -> u64 {
-        self.fabric
-            .sched()
-            .map_or(0, |s| s.delivery_count(self.node))
+        self.fabric.sched().delivery_count(self.node)
     }
 
-    /// Lockstep-only settlement of a non-blocking poll at virtual time
-    /// `t`: returns `true` once the scheduler proves no packet with
-    /// virtual arrival ≤ `t` can still be in flight (the poll's miss is
-    /// then deterministic), or `false` if a delivery raced in first (the
+    /// Settlement of a non-blocking poll at virtual time `t`: returns
+    /// `true` once the scheduler proves no packet with virtual arrival
+    /// ≤ `t` can still be in flight (the poll's miss is then
+    /// deterministic), or `false` if a delivery raced in first (the
     /// caller must re-drain and re-examine its queues). `seen` is the
     /// [`NicHandle::delivery_signature`] sampled before the caller's
-    /// drain; `floor` as in [`NicHandle::recv_any_floored`]. Under
-    /// free-run this returns `true` immediately — free-run polls are
-    /// allowed to race.
+    /// drain; `floor` as in [`NicHandle::recv_any_floored`].
     pub fn poll_quiesce(&self, t: Ns, seen: u64, floor: Ns) -> bool {
-        match self.fabric.sched() {
-            Some(s) => s.poll_quiesce(self.node, t, seen, floor),
-            None => true,
-        }
+        self.fabric.sched().poll_quiesce(self.node, t, seen, floor)
     }
 
     /// Inject a packet from this node (sender side). Thin forwarding to
     /// [`Fabric::transmit`]; cost accounting is the caller's business.
-    /// Under lockstep the sender's post-transmit floor defaults to the
+    /// The sender's post-transmit lockstep floor defaults to the
     /// injection time — sound only for monotone injectors; transports
     /// with clock access use [`NicHandle::inject_floored`].
     pub fn inject(
@@ -135,7 +112,7 @@ impl NicHandle {
     /// [`NicHandle::inject`] with an explicit lockstep floor:
     /// `floor_after` bounds from below every packet this node may inject
     /// after this one (clock preemptible-window start + declared
-    /// lookahead). Ignored under free-run.
+    /// lookahead).
     #[allow(clippy::too_many_arguments)]
     pub fn inject_floored(
         &self,
@@ -266,8 +243,7 @@ impl NicHandle {
 
     /// Block until a packet is available on *any* of `ports`; returns it.
     /// FIFO across the wire per sender; arrival order across senders is
-    /// channel order (which respects each sender's injection order) under
-    /// free-run, and virtual-key grant order under lockstep.
+    /// virtual-key grant order.
     pub fn recv_any_blocking(&mut self, ports: &[u16]) -> RawPacket {
         self.recv_any_floored(ports, Ns::ZERO)
     }
@@ -277,56 +253,45 @@ impl NicHandle {
     /// after waking (clock preemptible-window start + declared
     /// lookahead). `Ns::ZERO` is always safe — the woken node then
     /// blocks all grants until its next scheduler interaction — and is
-    /// what the floor-less wrapper passes. Ignored under free-run.
+    /// what the floor-less wrapper passes.
     pub fn recv_any_floored(&mut self, ports: &[u16], floor: Ns) -> RawPacket {
-        let sched = self.fabric.sched().cloned();
+        self.recv_floored(Some(ports), floor)
+    }
+
+    /// Park on the scheduler (never the channel) until a packet is queued
+    /// on one of `ports` (any port when `None`): cluster deadlock panics
+    /// there with the parked-node set.
+    fn recv_floored(&mut self, ports: Option<&[u16]>, floor: Ns) -> RawPacket {
+        let sched = Arc::clone(self.fabric.sched());
         loop {
             // Capture the delivery signature *before* draining: if a
             // delivery lands between our drain and our park, the
             // signature mismatch makes the park bounce back immediately
             // instead of sleeping through the wakeup.
-            let sig = sched.as_ref().map(|s| s.delivery_count(self.node));
+            let sig = sched.delivery_count(self.node);
             self.drain();
-            if let Some(i) = self.best_queued_idx(Some(ports)) {
+            if let Some(i) = self.best_queued_idx(ports) {
                 return self.queues[i].1.pop_front().expect("non-empty");
             }
-            match (&sched, sig) {
-                (Some(s), Some(sig)) => {
-                    // Park on the scheduler (never the channel): cluster
-                    // deadlock panics there with the parked-node set.
-                    let _ = s.park(self.node, sig, None, floor);
-                }
-                _ => match self.rx.recv() {
-                    Ok(pkt) => self.stash(pkt),
-                    Err(_) => panic!(
-                        "node {}: waiting on ports {ports:?} but all senders shut down (protocol deadlock or premature exit)",
-                        self.node
-                    ),
-                },
-            }
+            let _ = sched.park(self.node, sig, None, floor);
         }
     }
 
-    /// Lockstep-only bounded receive: block until a packet with arrival
+    /// Bounded receive: block until a packet with arrival
     /// ≤ `deadline` is available on any of `ports`, or until the
     /// deadline itself becomes the cluster's next event. Returns `None`
     /// on timeout — including when the earliest queued packet arrives
     /// *after* the deadline (it stays queued; the caller's virtual clock
     /// jumps to the deadline). `floor` as in
-    /// [`NicHandle::recv_any_floored`]. This replaces the wall-clock
-    /// guard of [`NicHandle::recv_any_bounded`] with a deterministic
-    /// virtual-time timeout.
+    /// [`NicHandle::recv_any_floored`]. The timeout is a virtual-time
+    /// scheduler event; no wall clock is consulted.
     pub fn recv_any_deadline(
         &mut self,
         ports: &[u16],
         deadline: Ns,
         floor: Ns,
     ) -> Option<RawPacket> {
-        let sched = self
-            .fabric
-            .sched()
-            .cloned()
-            .expect("recv_any_deadline requires SchedMode::Lockstep");
+        let sched = Arc::clone(self.fabric.sched());
         loop {
             let sig = sched.delivery_count(self.node);
             self.drain();
@@ -356,7 +321,7 @@ impl NicHandle {
         }
     }
 
-    /// Lockstep-only shutdown-linger receive: block until a packet is
+    /// Shutdown-linger receive: block until a packet is
     /// available on any of `ports`, or until every node in `watch` has
     /// deregistered its NIC (dropped its handle), in which case `None`
     /// is returned. Deregistration is routed through the scheduler as a
@@ -371,11 +336,7 @@ impl NicHandle {
         watch: &[NodeId],
         floor: Ns,
     ) -> Option<RawPacket> {
-        let sched = self
-            .fabric
-            .sched()
-            .cloned()
-            .expect("recv_any_done_watch requires SchedMode::Lockstep");
+        let sched = Arc::clone(self.fabric.sched());
         loop {
             let sig = sched.delivery_count(self.node);
             self.drain();
@@ -398,7 +359,7 @@ impl NicHandle {
         }
     }
 
-    /// Combined deadline + done-watch receive (lockstep only): block for
+    /// Combined deadline + done-watch receive: block for
     /// a packet on `ports` until virtual time `deadline` becomes the
     /// cluster's next event *or* every node in `watch` deregisters its
     /// NIC — whichever the scheduler orders first. This is the exit
@@ -416,11 +377,7 @@ impl NicHandle {
         deadline: Ns,
         floor: Ns,
     ) -> DeadlineWatchRecv {
-        let sched = self
-            .fabric
-            .sched()
-            .cloned()
-            .expect("recv_any_deadline_done_watch requires SchedMode::Lockstep");
+        let sched = Arc::clone(self.fabric.sched());
         loop {
             let sig = sched.delivery_count(self.node);
             self.drain();
@@ -461,51 +418,9 @@ impl NicHandle {
         }
     }
 
-    /// Like [`NicHandle::recv_any_blocking`], but the park on an empty
-    /// channel is bounded by a *wall-clock* guard. This is the thin
-    /// escape hatch for hang detection under free-run: virtual-time code
-    /// never depends on the guard's value for correctness — it only
-    /// fires when the cluster is truly silent (e.g. a datagram was
-    /// silently dropped with no tombstone, which only receive-buffer
-    /// overflow can produce). Returns `None` if the guard expires with
-    /// nothing queued. Lockstep callers use
-    /// [`NicHandle::recv_any_deadline`] instead.
-    pub fn recv_any_bounded(
-        &mut self,
-        ports: &[u16],
-        guard: std::time::Duration,
-    ) -> Option<RawPacket> {
-        loop {
-            self.drain();
-            if let Some(i) = self.best_queued_idx(Some(ports)) {
-                return Some(self.queues[i].1.pop_front().expect("non-empty"));
-            }
-            match self.rx.recv_timeout(guard) {
-                Ok(pkt) => self.stash(pkt),
-                Err(_) => return None,
-            }
-        }
-    }
-
     /// Block until any packet at all arrives (used by raw benchmarks).
     pub fn recv_blocking(&mut self) -> RawPacket {
-        let sched = self.fabric.sched().cloned();
-        loop {
-            let sig = sched.as_ref().map(|s| s.delivery_count(self.node));
-            self.drain();
-            if let Some(i) = self.best_queued_idx(None) {
-                return self.queues[i].1.pop_front().expect("non-empty");
-            }
-            match (&sched, sig) {
-                (Some(s), Some(sig)) => {
-                    let _ = s.park(self.node, sig, None, Ns::ZERO);
-                }
-                _ => match self.rx.recv() {
-                    Ok(pkt) => self.stash(pkt),
-                    Err(_) => panic!("node {}: all senders shut down", self.node),
-                },
-            }
-        }
+        self.recv_floored(None, Ns::ZERO)
     }
 }
 
@@ -521,7 +436,7 @@ mod tests {
     use tm_sim::SimParams;
 
     fn pair() -> (Arc<Fabric>, Vec<NicHandle>) {
-        Fabric::new(2, Arc::new(SimParams::paper_testbed()))
+        Fabric::new_driven(2, Arc::new(SimParams::paper_testbed()))
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::clock::AsyncScheme;
 use crate::faults::FaultPlan;
-use crate::sched::{SchedMode, TokenMode};
+use crate::sched::TokenMode;
 use crate::time::Ns;
 
 /// Wire and switch model for the Myrinet-2000 fabric.
@@ -235,15 +235,10 @@ pub struct SimParams {
     pub cpu: CpuParams,
     /// Deterministic fault-injection plan; all-off by default.
     pub faults: FaultPlan,
-    /// Thread-interleaving regime: free-running (fast, wall-clock
-    /// arbitration under contention) or conservative lockstep
-    /// (byte-reproducible). See [`crate::sched`].
-    pub sched: SchedMode,
     /// Reservation-token granularity for the lockstep scheduler: one
     /// cluster-wide token ([`TokenMode::Single`], the PR 6 baseline) or
     /// one per rx link ([`TokenMode::PerReceiver`], the default —
-    /// transmits to distinct receivers overlap). Ignored under
-    /// [`SchedMode::FreeRun`].
+    /// transmits to distinct receivers overlap). See [`crate::sched`].
     pub tokens: TokenMode,
 }
 
@@ -253,14 +248,11 @@ impl SimParams {
         SimParams::default()
     }
 
-    /// The paper's testbed under the conservative lockstep scheduler
-    /// ([`SchedMode::Lockstep`]): identical cost model, byte-reproducible
-    /// thread interleaving. The default for all pinned-output tests.
+    /// The same as [`SimParams::paper_testbed`]: every cluster runs under
+    /// the lockstep scheduler. Kept for callers written when a second,
+    /// free-running scheduler existed.
     pub fn lockstep_testbed() -> Self {
-        SimParams {
-            sched: SchedMode::Lockstep,
-            ..SimParams::default()
-        }
+        SimParams::paper_testbed()
     }
 
     /// The async scheme the paper adopted for FAST/GM (modified firmware).

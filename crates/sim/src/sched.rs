@@ -2,12 +2,13 @@
 //!
 //! # Why
 //!
-//! Every number this simulator reports is virtual-time arithmetic, yet a
-//! free-running cluster is not reproducible: when several node threads
-//! transmit to the same destination "at once", the *wall-clock* order in
-//! which they win the fabric's link-reservation CAS decides the virtual
-//! queueing order on the shared rx link. Barrier storms (N arrivals
-//! converging on the manager) therefore jitter run to run.
+//! Every number this simulator reports is virtual-time arithmetic. When
+//! several node threads transmit to the same destination "at once", the
+//! order in which they reserve the shared rx link decides the virtual
+//! queueing order there; left to the wall clock, barrier storms (N
+//! arrivals converging on the manager) would jitter run to run. This
+//! scheduler is the only one: every fabric sequences its transmits and
+//! waits through it.
 //!
 //! # How
 //!
@@ -73,43 +74,25 @@
 //! ([`LockstepSched::park`]): a parked node's next event is unknowable
 //! until a packet is delivered to it (floor = +∞), or bounded by its
 //! virtual deadline for timeout waits (the DSM retransmission timer), in
-//! which case the deadline is an event like any other and the wall-clock
-//! hang guard of the free-running path is never consulted.
+//! which case the deadline is an event like any other. No wait anywhere
+//! is bounded by the wall clock.
+//!
+//! # Driven nodes
+//!
+//! A unit test or a microbenchmark often plays every node of a small
+//! cluster from one thread: node 0 sends, then node 1 receives. Under
+//! the conservative rules that thread would park forever, waiting for a
+//! floor that only the same thread could raise. A *driven* scheduler
+//! ([`LockstepSched::new_driven`]) serves such drivers: its nodes have no
+//! threads of their own, so nothing can happen on them concurrently, and
+//! their floor is +∞ in every state. They never gate a grant and add no
+//! hazard, so transmits grant in call order, and a deadline wait on an
+//! empty inbox times out at once, in virtual time.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use crate::time::Ns;
-
-/// How the cluster's node threads are interleaved.
-///
-/// * `FreeRun` — node threads run unsynchronized; link reservations
-///   arbitrate by compare-and-swap in wall-clock order. Fast, and
-///   deterministic only for workloads whose message order is fully
-///   serialized by data dependencies.
-/// * `Lockstep` — all fabric actions are sequenced by [`LockstepSched`]
-///   in virtual-key order; runs are byte-reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedMode {
-    /// Free-running threads, wall-clock CAS arbitration (the fast default).
-    #[default]
-    FreeRun,
-    /// Conservative lockstep: deterministic, byte-reproducible runs.
-    Lockstep,
-}
-
-impl SchedMode {
-    /// Parse from an environment-style string: `lockstep` (any case)
-    /// selects [`SchedMode::Lockstep`]; `freerun`, `free` or the empty
-    /// string select [`SchedMode::FreeRun`].
-    pub fn parse(s: &str) -> Option<SchedMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "" | "free" | "freerun" => Some(SchedMode::FreeRun),
-            "lockstep" => Some(SchedMode::Lockstep),
-            _ => None,
-        }
-    }
-}
 
 /// Granularity of the lockstep scheduler's reservation tokens.
 ///
@@ -262,6 +245,9 @@ pub struct LockstepSched {
     /// trip; at 100+ threads every yield walks a long run queue, so
     /// sleeping promptly is cheaper for everyone.
     yields: u32,
+    /// Every node is driven (module docs, "Driven nodes"): all floors
+    /// are +∞.
+    driven: bool,
 }
 
 /// One node's private sleep slot (see [`LockstepSched::await_signal`]).
@@ -272,6 +258,9 @@ struct WaitSlot {
 
 /// No release pending.
 const SIG_NONE: u8 = 0;
+
+/// A driven node's floor, in every state.
+const INF: Ns = Ns(u64::MAX);
 
 fn sig_encode(r: WakeReason) -> u8 {
     match r {
@@ -302,9 +291,21 @@ impl LockstepSched {
 
     /// A scheduler for `n` nodes with an explicit [`TokenMode`].
     pub fn new_with_tokens(n: usize, tokens: TokenMode) -> LockstepSched {
+        LockstepSched::build(n, tokens, false)
+    }
+
+    /// A scheduler for `n` *driven* nodes: one thread plays all of them,
+    /// so every floor is +∞ and every event is granted in call order
+    /// (module docs, "Driven nodes").
+    pub fn new_driven(n: usize, tokens: TokenMode) -> LockstepSched {
+        LockstepSched::build(n, tokens, true)
+    }
+
+    fn build(n: usize, tokens: TokenMode, driven: bool) -> LockstepSched {
+        let floor = if driven { INF } else { Ns::ZERO };
         let nodes = (0..n)
             .map(|_| NodeSt {
-                st: St::Running { floor: Ns::ZERO },
+                st: St::Running { floor },
                 seq: 0,
                 lookahead: Ns::ZERO,
                 deliveries: 0,
@@ -329,6 +330,16 @@ impl LockstepSched {
                 _ => 0,
             },
             yields: if n <= 32 { 8 } else { 2 },
+            driven,
+        }
+    }
+
+    /// The floor a node declares, or +∞ when the nodes are driven.
+    fn floor(&self, declared: Ns) -> Ns {
+        if self.driven {
+            INF
+        } else {
+            declared
         }
     }
 
@@ -418,9 +429,10 @@ impl LockstepSched {
     /// must perform its link reservations and inbox delivery, then call
     /// [`LockstepSched::finish_transmit`]. Grants to distinct receivers
     /// may overlap (see [`TokenMode`]); grants to the same receiver are
-    /// serialized in key order, so the CAS loops in the fabric's reserve
-    /// path stay uncontended per link.
+    /// serialized in key order, so each link in the fabric's reserve path
+    /// has a single writer at a time.
     pub fn request_transmit(&self, node: usize, dst: usize, inject: Ns, floor_after: Ns) {
+        let floor_after = self.floor(floor_after);
         let mut s = self.state.lock().unwrap();
         let seq = s.nodes[node].next_seq();
         let key = Key {
@@ -524,6 +536,7 @@ impl LockstepSched {
         floor: Ns,
         watch: Option<&[usize]>,
     ) -> WakeReason {
+        let floor = self.floor(floor);
         let mut s = self.state.lock().unwrap();
         if s.nodes[node].deliveries != seen_deliveries {
             // A delivery raced our drain; don't sleep on a stale view.
@@ -551,11 +564,11 @@ impl LockstepSched {
     /// Settle a *non-blocking poll*: may the node conclude that nothing
     /// with virtual arrival `<= t` will ever reach its inbox?
     ///
-    /// A free-running poll races in-flight traffic — whether a packet
-    /// whose virtual arrival is already in the poller's past has been
-    /// *pushed yet* is pure wall-clock luck, and the answer steers
-    /// retroactive request service, so it must be deterministic. Under
-    /// lockstep the poll becomes an event like any other: the node parks
+    /// Left to the wall clock, a poll would race in-flight traffic —
+    /// whether a packet whose virtual arrival is already in the poller's
+    /// past has been *pushed yet* would be luck, and the answer steers
+    /// retroactive request service, so it must be deterministic. Here
+    /// the poll becomes an event like any other: the node parks
     /// on deadline `t` and the dispatcher releases it only once every
     /// earlier event has been granted and no running node's floor allows
     /// an earlier injection. Cycles of concurrent pollers resolve by key
@@ -570,6 +583,7 @@ impl LockstepSched {
     ///
     /// `seen_deliveries` and `floor` are as for [`LockstepSched::park`].
     pub fn poll_quiesce(&self, node: usize, t: Ns, seen_deliveries: u64, floor: Ns) -> bool {
+        let floor = self.floor(floor);
         {
             let mut s = self.state.lock().unwrap();
             if s.nodes[node].deliveries != seen_deliveries {
@@ -909,9 +923,8 @@ impl LockstepSched {
 
     /// With no event on offer, every node must be running (it will commit
     /// to an event eventually), mid-transmit, or done. A node parked
-    /// without a deadline at that point can never be woken: the
-    /// free-running path would hang in `Receiver::recv`; lockstep turns
-    /// it into a diagnosis.
+    /// without a deadline at that point can never be woken: instead of
+    /// hanging, the cluster panics with a diagnosis.
     fn check_deadlock(&self, s: &State) {
         let any_running = s
             .nodes
@@ -958,16 +971,6 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
-
-    #[test]
-    fn sched_mode_parses() {
-        assert_eq!(SchedMode::parse("lockstep"), Some(SchedMode::Lockstep));
-        assert_eq!(SchedMode::parse("LOCKSTEP"), Some(SchedMode::Lockstep));
-        assert_eq!(SchedMode::parse(""), Some(SchedMode::FreeRun));
-        assert_eq!(SchedMode::parse("freerun"), Some(SchedMode::FreeRun));
-        assert_eq!(SchedMode::parse("bogus"), None);
-        assert_eq!(SchedMode::default(), SchedMode::FreeRun);
-    }
 
     #[test]
     fn token_mode_parses() {
@@ -1304,6 +1307,35 @@ mod tests {
         // mark_done's watch release runs before its dispatch, so the
         // watcher must see PeersDone.
         assert_eq!(r, WakeReason::PeersDone);
+    }
+
+    /// One thread plays both nodes of a driven pair: node 1 is never
+    /// scheduled, yet node 0's transmit is granted at once (a
+    /// conservative scheduler would wait for node 1's floor forever).
+    #[test]
+    fn driven_pair_grants_without_other_threads() {
+        let sched = LockstepSched::new_driven(2, TokenMode::default());
+        let seen = sched.delivery_count(1);
+        sched.request_transmit(0, 1, Ns(1_000), Ns(2_000));
+        sched.finish_transmit(0, 1, Ns(11_000));
+        assert_eq!(sched.delivery_count(1), seen + 1);
+        // The delivery is already counted, so node 1's park bounces.
+        assert_eq!(sched.park(1, seen, None, Ns(0)), WakeReason::Delivered);
+    }
+
+    /// A driven deadline wait on an empty inbox times out at once: the
+    /// deadline is the only event, and no other thread need run for it
+    /// to fire. (`UdpStack`'s `recv_timeout_returns_none_when_silent`
+    /// checks that the caller's clock then sits exactly at the deadline.)
+    #[test]
+    fn driven_deadline_wait_times_out_at_once() {
+        let sched = LockstepSched::new_driven(2, TokenMode::default());
+        let seen = sched.delivery_count(1);
+        let r = sched.park(1, seen, Some(Ns::from_ms(3)), Ns(0));
+        assert_eq!(r, WakeReason::Timeout);
+        // The woken node is running again: its next transmit still grants.
+        sched.request_transmit(1, 0, Ns::from_ms(3), Ns(0));
+        sched.finish_transmit(1, 0, Ns::from_ms(4));
     }
 
     #[test]

@@ -157,14 +157,8 @@ impl UdpStack {
         &self.params
     }
 
-    /// Whether any peer node's NIC is still registered on the fabric
-    /// (shutdown-linger support under fault injection).
-    pub fn peers_alive(&self) -> bool {
-        self.nic.others_alive()
-    }
-
-    /// Whether any of `nodes` still has its NIC registered — the
-    /// subtree-scoped liveness check behind tree-barrier shutdown lingers.
+    /// Whether any of `nodes` still has its NIC registered — the RPC
+    /// engine stops retransmitting to a peer that has left.
     pub fn peers_alive_in(&self, nodes: &[usize]) -> bool {
         self.nic.any_alive(nodes)
     }
@@ -426,7 +420,7 @@ impl UdpStack {
     /// kernel processing completed by the node's current virtual time.
     /// Tombstones are discarded silently — the kernel never saw them.
     ///
-    /// Under lockstep a miss is settled through the NIC's
+    /// A miss is settled through the NIC's
     /// [`poll_quiesce`](tm_myrinet::NicHandle::poll_quiesce) before being
     /// reported, so the set of datagrams this poll observes never depends
     /// on wall-clock thread timing (see `GmNode::receive` in `tm-gm`
@@ -520,8 +514,7 @@ impl UdpStack {
             if let Some((port, _)) = self.earliest_queued(ports) {
                 return self.pop_ready(port);
             }
-            // Park on the NIC channel (under lockstep, on the
-            // scheduler) until something arrives for us.
+            // Park on the scheduler until something arrives for us.
             let filter: Vec<u16> = ports.iter().map(|p| SOCKET_PORT_BASE + p).collect();
             let floor = self.sched_floor();
             let pkt = self.nic.recv_any_floored(&filter, floor);
@@ -533,19 +526,8 @@ impl UdpStack {
     /// deadline: returns `None` (with the clock advanced to `deadline`)
     /// if no datagram becomes ready by then. This is what the DSM's
     /// retransmission timer runs on — determinism requires the timeout to
-    /// be virtual.
-    ///
-    /// `guard` is the thin wall-clock escape hatch: if the NIC channel
-    /// stays silent that long in real time, the wait is abandoned as a
-    /// hang. Virtual-time behavior never depends on its value — it only
-    /// fires when nothing is in flight at all (e.g. a receive-buffer
-    /// overflow swallowed the last traffic without a tombstone).
-    pub fn recv_any_timeout(
-        &mut self,
-        ports: &[u16],
-        deadline: Ns,
-        guard: std::time::Duration,
-    ) -> Option<(u16, Datagram)> {
+    /// be virtual: the deadline is a lockstep scheduler event.
+    pub fn recv_any_timeout(&mut self, ports: &[u16], deadline: Ns) -> Option<(u16, Datagram)> {
         self.clock.borrow_mut().advance(self.params.host.syscall); // select()
         loop {
             if let Some((port, ready)) = self.earliest_queued(ports) {
@@ -558,26 +540,12 @@ impl UdpStack {
                 return None;
             }
             let filter: Vec<u16> = ports.iter().map(|p| SOCKET_PORT_BASE + p).collect();
-            if self.nic.lockstep() {
-                // Deterministic timeout: the deadline is a scheduler
-                // event; the wall-clock guard is never consulted.
-                let floor = self.sched_floor();
-                match self.nic.recv_any_deadline(&filter, deadline, floor) {
-                    Some(pkt) => self.admit(pkt),
-                    None => {
-                        self.clock.borrow_mut().wait_until(deadline);
-                        return None;
-                    }
-                }
-            } else {
-                match self.nic.recv_any_bounded(&filter, guard) {
-                    Some(pkt) => self.admit(pkt),
-                    None => {
-                        // True wall-clock silence: treat as a virtual
-                        // timeout.
-                        self.clock.borrow_mut().wait_until(deadline);
-                        return None;
-                    }
+            let floor = self.sched_floor();
+            match self.nic.recv_any_deadline(&filter, deadline, floor) {
+                Some(pkt) => self.admit(pkt),
+                None => {
+                    self.clock.borrow_mut().wait_until(deadline);
+                    return None;
                 }
             }
         }
@@ -587,17 +555,14 @@ impl UdpStack {
     /// resolves when every node in `watch` has deregistered its NIC. The
     /// exit fan's retransmission timer runs on this: a timeout armed
     /// against a peer that already left the fabric must cancel rather
-    /// than fire into a dead node. Under lockstep the three-way race
-    /// (datagram / deadline / peers-done) is resolved by the scheduler in
-    /// virtual time; free-running, peer departure is checked before each
-    /// bounded wait and the wall-clock `guard` keeps its hang-escape
-    /// role.
+    /// than fire into a dead node. The three-way race (datagram /
+    /// deadline / peers-done) is resolved by the scheduler in virtual
+    /// time.
     pub fn recv_any_timeout_watching(
         &mut self,
         ports: &[u16],
         watch: &[usize],
         deadline: Ns,
-        guard: std::time::Duration,
     ) -> RecvOutcome {
         self.clock.borrow_mut().advance(self.params.host.syscall); // select()
         loop {
@@ -609,43 +574,28 @@ impl UdpStack {
                 return RecvOutcome::Timeout;
             }
             let filter: Vec<u16> = ports.iter().map(|p| SOCKET_PORT_BASE + p).collect();
-            if self.nic.lockstep() {
-                let floor = self.sched_floor();
-                match self
-                    .nic
-                    .recv_any_deadline_done_watch(&filter, watch, deadline, floor)
-                {
-                    DeadlineWatchRecv::Pkt(pkt) => self.admit(pkt),
-                    DeadlineWatchRecv::Timeout => {
-                        self.clock.borrow_mut().wait_until(deadline);
-                        return RecvOutcome::Timeout;
-                    }
-                    DeadlineWatchRecv::PeersDone => return RecvOutcome::PeersDone,
+            let floor = self.sched_floor();
+            match self
+                .nic
+                .recv_any_deadline_done_watch(&filter, watch, deadline, floor)
+            {
+                DeadlineWatchRecv::Pkt(pkt) => self.admit(pkt),
+                DeadlineWatchRecv::Timeout => {
+                    self.clock.borrow_mut().wait_until(deadline);
+                    return RecvOutcome::Timeout;
                 }
-            } else {
-                if !self.nic.any_alive(watch) {
-                    return RecvOutcome::PeersDone;
-                }
-                match self.nic.recv_any_bounded(&filter, guard) {
-                    Some(pkt) => self.admit(pkt),
-                    None => {
-                        self.clock.borrow_mut().wait_until(deadline);
-                        return RecvOutcome::Timeout;
-                    }
-                }
+                DeadlineWatchRecv::PeersDone => return RecvOutcome::PeersDone,
             }
         }
     }
 
-    /// Shutdown-linger receive under lockstep: block until a datagram is
+    /// Shutdown-linger receive: block until a datagram is
     /// ready on any of `ports` or every node in `watch` has deregistered
     /// its NIC — the latter returns `None` and is the deterministic
     /// "all peers exited" signal (NIC deregistration is a scheduler
     /// `Done` event; no wall-clock liveness flag is read, so the set of
     /// late datagrams served before `None` is a pure function of the
-    /// program). Panics unless the cluster runs under
-    /// `SchedMode::Lockstep`; free-running lingers keep the wall-clock
-    /// quantum of [`recv_any_timeout`](UdpStack::recv_any_timeout).
+    /// program).
     pub fn recv_any_or_dead(
         &mut self,
         ports: &[u16],
@@ -698,7 +648,7 @@ mod tests {
 
     fn stacks_with(n: usize, params: SimParams) -> Vec<UdpStack> {
         let params = Arc::new(params);
-        let (_fabric, nics) = Fabric::new(n, Arc::clone(&params));
+        let (_fabric, nics) = Fabric::new_driven(n, Arc::clone(&params));
         nics.into_iter()
             .map(|nic| UdpStack::new(nic, shared_clock(), Arc::clone(&params)))
             .collect()
@@ -906,10 +856,10 @@ mod tests {
         let mut b = s.pop().unwrap();
         b.bind(2, false);
         let deadline = b.clock().borrow().now() + Ns::from_us(500);
-        let got = b.recv_any_timeout(&[2], deadline, std::time::Duration::from_millis(20));
+        let got = b.recv_any_timeout(&[2], deadline);
         assert!(got.is_none());
-        // The virtual clock advanced to the deadline, not to wall time.
-        assert!(b.clock().borrow().now() >= deadline);
+        // The virtual clock advanced exactly to the deadline.
+        assert_eq!(b.clock().borrow().now(), deadline);
     }
 
     #[test]
@@ -922,7 +872,7 @@ mod tests {
         a.sendto(1, 2, 1, b"late");
         // The datagram is ready ~tens of µs in; deadline far earlier.
         let deadline = b.clock().borrow().now() + Ns(10);
-        let got = b.recv_any_timeout(&[2], deadline, std::time::Duration::from_secs(1));
+        let got = b.recv_any_timeout(&[2], deadline);
         assert!(got.is_none(), "timer must fire before the late datagram");
         // The datagram is still there for a later receive.
         let (_, d) = b.recv_any(&[2]);

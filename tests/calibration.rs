@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use tm_fast::{FastConfig, FastSubstrate};
-use tm_gm::{gm_cluster, gm_size, DmaPool};
+use tm_gm::{gm_cluster, gm_cluster_driven, gm_size, DmaPool};
 use tm_sim::{run_cluster, Ns, SimParams};
 use tm_udp::UdpStack;
 use tmk::Substrate;
@@ -129,7 +129,7 @@ fn substrate_latency_ordering() {
 fn prepost_memory_matches_paper_formula() {
     for n in [4usize, 16, 256] {
         let params = Arc::new(SimParams::paper_testbed());
-        let (_f, board, mut nics) = gm_cluster(n, Arc::clone(&params));
+        let (_f, board, mut nics) = gm_cluster_driven(n, Arc::clone(&params));
         let nic = nics.remove(0);
         let mut cfg = FastConfig::paper(&params);
         let eager = FastSubstrate::new(

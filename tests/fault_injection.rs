@@ -106,9 +106,8 @@ fn one_percent_loss_completes_with_identical_memory() {
 /// A fully serialized 2-node round: every message is ordered by a data
 /// or barrier dependency, so each node's send sequence is its program
 /// order and the seeded drop schedule lands on the same datagrams every
-/// run. (The 4-node workload above is *correct* under loss but its
-/// concurrent requesters race in wall-clock time, so global counter
-/// totals vary run to run — see DESIGN.md, "Failure model".)
+/// run. (The concurrent 4-node workload above reproduces too, under the
+/// lockstep scheduler; `tests/lockstep.rs` pins its signature.)
 fn serialized_workload<S: Substrate>(tmk: &mut Tmk<S>) -> u32 {
     let r = tmk.malloc(2 * 4096);
     tmk.barrier(0);

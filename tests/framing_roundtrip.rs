@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tm_fast::{FastConfig, FastSubstrate, UdpSubstrate};
-use tm_gm::{gm_cluster, gm_max_length, MAX_SIZE_CLASS};
+use tm_gm::{gm_cluster, gm_cluster_driven, gm_max_length, MAX_SIZE_CLASS};
 use tm_myrinet::Fabric;
 use tm_sim::clock::shared_clock;
 use tm_sim::{Ns, SimParams};
@@ -19,7 +19,7 @@ fn params() -> Arc<SimParams> {
 
 fn fast_pair(rendezvous: bool) -> (FastSubstrate, FastSubstrate) {
     let params = params();
-    let (_f, board, mut nics) = gm_cluster(2, Arc::clone(&params));
+    let (_f, board, mut nics) = gm_cluster_driven(2, Arc::clone(&params));
     let mut cfg = FastConfig::paper(&params);
     cfg.rendezvous = rendezvous;
     let b = FastSubstrate::new(
@@ -35,7 +35,7 @@ fn fast_pair(rendezvous: bool) -> (FastSubstrate, FastSubstrate) {
 
 fn udp_pair() -> (UdpSubstrate, UdpSubstrate) {
     let params = params();
-    let (_f, mut nics) = Fabric::new(2, Arc::clone(&params));
+    let (_f, mut nics) = Fabric::new_driven(2, Arc::clone(&params));
     let b = UdpSubstrate::new(nics.pop().unwrap(), shared_clock(), Arc::clone(&params));
     let a = UdpSubstrate::new(nics.pop().unwrap(), shared_clock(), params);
     (a, b)

@@ -14,23 +14,20 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tm_fast::run_udp_dsm;
-use tm_sim::{FaultPlan, Ns, SchedMode, SimParams};
+use tm_sim::{FaultPlan, Ns, SimParams};
 use tmk::{LockPath, MetricsHandle, Substrate, Tmk, TmkConfig};
 
 const PAGES: usize = 8;
 const ROUNDS: u32 = 4;
 
-/// Paper testbed pinned to the conservative lockstep scheduler. The
-/// storm's handoff spin advances the reader's clock ~600ns per probe;
-/// under freerun a lossy schedule lets the writer's retransmission
-/// deadlines (which double) recede faster than the spinning reader's
-/// clock can crawl toward their virtual arrival stamps, so the requester
-/// exhausts its retry budget against a peer that is alive and polling.
-/// Lockstep keeps the clocks within one window of each other, which both
-/// kills that divergence and makes every schedule byte-reproducible.
+/// Paper testbed with a fault plan. The storm's handoff spin advances
+/// the reader's clock ~600ns per probe; the lockstep scheduler keeps the
+/// writer's doubling retransmission deadlines within one window of that
+/// crawling clock, so the requester never exhausts its retry budget
+/// against a peer that is alive and polling, and every schedule is
+/// byte-reproducible.
 fn with_plan(f: FaultPlan) -> Arc<SimParams> {
     let mut p = SimParams::paper_testbed();
-    p.sched = SchedMode::Lockstep;
     p.faults = f;
     Arc::new(p)
 }
@@ -186,7 +183,6 @@ fn sweep<S: Substrate>(tmk: &mut Tmk<S>) -> (Vec<u8>, u64, u64, u64) {
 #[test]
 fn prefetch_signature_pinned_under_loss() {
     let mut p = SimParams::paper_testbed();
-    p.sched = SchedMode::Lockstep;
     p.faults = FaultPlan {
         seed: 0x7e11_57a7,
         drop_probability: 0.10,

@@ -1,16 +1,16 @@
 //! Lockstep-scheduler reproducibility tests.
 //!
-//! Under `SchedMode::Lockstep` the fabric serializes transmits through the
-//! conservative virtual-time scheduler (`tm_sim::sched`), so a run's
+//! The fabric serializes transmits through the conservative virtual-time
+//! scheduler (`tm_sim::sched`), so a run's
 //! observable outcome — shared memory, per-node stats, per-node virtual
 //! clocks — must not depend on wall-clock thread interleaving at all. We
 //! prove it the hard way: the same workload runs twice with *different*
 //! seeded wall-clock perturbation (each node sleeps pseudo-random real-time
 //! amounts between DSM operations), and the two runs must agree byte for
-//! byte. A third battery cross-checks the two regimes: over randomized
-//! drop/duplicate/reorder fault schedules, FreeRun and Lockstep must
-//! converge to identical shared memory (scheduling may reorder recovery,
-//! never corrupt it).
+//! byte. A third battery checks recovery: over randomized
+//! drop/duplicate/reorder fault schedules, every run must converge to the
+//! workload's closed-form memory image (faults may reorder recovery, never
+//! corrupt it).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,8 +24,8 @@ const NODES: usize = 4;
 const PAGES: usize = 4;
 const INCRS: u32 = 6;
 
-fn lockstep_params() -> Arc<SimParams> {
-    Arc::new(SimParams::lockstep_testbed())
+fn params() -> Arc<SimParams> {
+    Arc::new(SimParams::paper_testbed())
 }
 
 /// Deterministic per-(seed, node, step) wall-clock jitter: an xorshift over
@@ -83,7 +83,7 @@ fn fingerprint(out: &[tm_sim::runner::NodeOutcome<Vec<u8>>]) -> Vec<(u64, String
 #[test]
 fn fast_lockstep_double_run_is_byte_identical() {
     let run = |seed: u64| {
-        let p = lockstep_params();
+        let p = params();
         let cfg = FastConfig::paper(&p);
         let out = run_fast_dsm(NODES, p, cfg, TmkConfig::default(), move |tmk| {
             perturbed_workload(tmk, seed)
@@ -105,7 +105,7 @@ fn fast_lockstep_double_run_is_byte_identical() {
 #[test]
 fn udp_lockstep_double_run_is_byte_identical() {
     let run = |seed: u64| {
-        let out = run_udp_dsm(NODES, lockstep_params(), TmkConfig::default(), move |tmk| {
+        let out = run_udp_dsm(NODES, params(), TmkConfig::default(), move |tmk| {
             perturbed_workload(tmk, seed)
         });
         fingerprint(&out)
@@ -117,17 +117,11 @@ fn udp_lockstep_double_run_is_byte_identical() {
 
 #[test]
 fn udp_lockstep_pins_faulty_run_signatures() {
-    // The 4-node concurrent workload whose fault counters were documented
-    // as wall-clock-dependent under FreeRun (see tests/fault_injection.rs,
-    // "A fully serialized 2-node round"): under Lockstep the *concurrent*
-    // version must reproduce exactly. One caveat survives: the barrier
-    // manager's shutdown linger polls peers_alive, a wall-clock-ordered
-    // liveness read, so node 0's post-measurement quantum count (finish,
-    // idle_time, and linger-served duplicate counters) may still vary —
-    // see DESIGN.md, "Lockstep scheduler". Everything up to the final
-    // barrier is pinned.
+    // A 4-node *concurrent* workload under loss and duplication must
+    // reproduce exactly. Nodes 1.. are pinned whole; for the barrier
+    // manager (node 0), the counters that close before the exit barrier.
     let run = |seed: u64| {
-        let mut p = SimParams::lockstep_testbed();
+        let mut p = SimParams::paper_testbed();
         p.faults = FaultPlan {
             drop_probability: 0.08,
             duplicate_probability: 0.05,
@@ -173,22 +167,36 @@ fn udp_lockstep_pins_faulty_run_signatures() {
     );
 }
 
-/// Shared-memory outcome of the workload under a given scheduler mode and
-/// fault plan (no jitter — this battery varies the *fault schedule*).
-fn memory_under(sched_lockstep: bool, faults: FaultPlan) -> Vec<u8> {
-    let mut p = if sched_lockstep {
-        SimParams::lockstep_testbed()
-    } else {
-        SimParams::paper_testbed()
-    };
+/// Shared-memory outcome of the workload on `nodes` nodes under a fault
+/// plan (no jitter — this battery varies the *fault schedule*).
+fn memory_under(nodes: usize, faults: FaultPlan) -> Vec<u8> {
+    let mut p = SimParams::paper_testbed();
     p.faults = faults;
-    let out = run_udp_dsm(3, Arc::new(p), TmkConfig::default(), |tmk| {
+    let out = run_udp_dsm(nodes, Arc::new(p), TmkConfig::default(), |tmk| {
         perturbed_workload(tmk, 0)
     });
     for o in &out {
         assert_eq!(o.result, out[0].result, "node {} snapshot diverges", o.id);
     }
     out[0].result.clone()
+}
+
+/// The memory image [`perturbed_workload`] must leave on `nodes` nodes:
+/// the lock-guarded counter in word 0 holds `nodes × INCRS`, and word `w`
+/// of node `m`'s stripe on every page holds `(m << 16) | w`.
+fn expected_memory(nodes: usize) -> Vec<u8> {
+    let mut img = vec![0u8; PAGES * 4096];
+    let mut put =
+        |word: usize, v: u32| img[word * 4..word * 4 + 4].copy_from_slice(&v.to_le_bytes());
+    put(0, nodes as u32 * INCRS);
+    for p in 0..PAGES {
+        for m in 0..nodes {
+            for w in 0..8usize {
+                put(p * 1024 + 16 + m * 8 + w, ((m as u32) << 16) | w as u32);
+            }
+        }
+    }
+    img
 }
 
 /// Full lockstep fingerprint of the workload under a given token mode and
@@ -198,7 +206,7 @@ fn memory_under(sched_lockstep: bool, faults: FaultPlan) -> Vec<u8> {
 /// counters, so fingerprint equality pins the per-inbox delivery order,
 /// not just the converged memory.
 fn fingerprint_under_tokens(tokens: TokenMode, faults: FaultPlan) -> Vec<(u64, String, Vec<u8>)> {
-    let mut p = SimParams::lockstep_testbed();
+    let mut p = SimParams::paper_testbed();
     p.tokens = tokens;
     p.faults = faults;
     let out = run_udp_dsm(3, Arc::new(p), TmkConfig::default(), |tmk| {
@@ -210,10 +218,11 @@ fn fingerprint_under_tokens(tokens: TokenMode, faults: FaultPlan) -> Vec<(u64, S
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Scheduling regime equivalence: over randomized drop/duplicate/
-    /// reorder schedules, FreeRun and Lockstep recover to the *same*
-    /// shared memory. The scheduler may only change when things happen,
-    /// never what the DSM computes.
+    /// Fault recovery is exact: over randomized drop/duplicate/reorder
+    /// schedules, the lossy run recovers to the closed-form memory image.
+    /// Faults may only change when things happen, never what the DSM
+    /// computes. (The name is historical: the reference used to be a
+    /// second, free-running scheduler.)
     #[test]
     fn freerun_and_lockstep_agree_on_memory(
         seed in 1u64..1_000_000,
@@ -229,9 +238,11 @@ proptest! {
             reorder_delay: Ns::from_us(250),
             ..FaultPlan::default()
         };
-        let free = memory_under(false, plan.clone());
-        let lock = memory_under(true, plan);
-        prop_assert_eq!(free, lock, "schedulers disagree on final memory");
+        prop_assert_eq!(
+            memory_under(3, plan),
+            expected_memory(3),
+            "lossy run recovered the wrong memory"
+        );
     }
 }
 
@@ -278,7 +289,7 @@ proptest! {
 fn per_receiver_tokens_overlap_disjoint_receivers_at_128_nodes() {
     use bytes::Bytes;
     const N: usize = 128;
-    let params = Arc::new(SimParams::lockstep_testbed());
+    let params = Arc::new(SimParams::paper_testbed());
     let (fabric, nics) = tm_myrinet::Fabric::new(N, params);
     let mut threads = Vec::new();
     for (i, mut nic) in nics.into_iter().enumerate() {
@@ -302,10 +313,7 @@ fn per_receiver_tokens_overlap_disjoint_receivers_at_128_nodes() {
     for t in threads {
         t.join().unwrap();
     }
-    let grants = fabric
-        .sched()
-        .expect("lockstep params must install the scheduler")
-        .max_concurrent_grants();
+    let grants = fabric.sched().max_concurrent_grants();
     assert!(
         grants >= 2,
         "disjoint receivers never overlapped: max concurrent grants = {grants}"

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
-use tm_gm::{gm_cluster, gm_size, DmaPool, GmError, GmNode};
+use tm_gm::{gm_cluster_driven, gm_size, DmaPool, GmError, GmNode};
 use tm_sim::clock::shared_clock;
 use tm_sim::{Ns, SimParams};
 use tmk::memsub::run_mem_dsm;
@@ -100,7 +100,7 @@ fn lock_convoy_is_exact() {
 #[test]
 fn gm_buffer_exhaustion_disables_and_recovers() {
     let p = params();
-    let (_f, board, mut nics) = gm_cluster(2, Arc::clone(&p));
+    let (_f, board, mut nics) = gm_cluster_driven(2, Arc::clone(&p));
     let n1 = nics.pop().unwrap();
     let n0 = nics.pop().unwrap();
     let mut a = GmNode::new(n0, shared_clock(), Arc::clone(&p), Arc::clone(&board), 64 << 20);
@@ -134,7 +134,7 @@ fn udp_loss_model_loses() {
     let mut p = SimParams::paper_testbed();
     p.udp.drop_probability = 0.5;
     let p = Arc::new(p);
-    let (_f, mut nics) = tm_myrinet::Fabric::new(2, Arc::clone(&p));
+    let (_f, mut nics) = tm_myrinet::Fabric::new_driven(2, Arc::clone(&p));
     let mut b = tm_udp::UdpStack::new(nics.pop().unwrap(), shared_clock(), Arc::clone(&p));
     let mut a = tm_udp::UdpStack::new(nics.pop().unwrap(), shared_clock(), p);
     a.bind(1, false);
@@ -151,7 +151,7 @@ fn udp_loss_model_loses() {
 #[test]
 fn pin_budget_is_enforced_end_to_end() {
     let p = params();
-    let (_f, board, mut nics) = gm_cluster(2, Arc::clone(&p));
+    let (_f, board, mut nics) = gm_cluster_driven(2, Arc::clone(&p));
     let nic = nics.remove(0);
     let mut gm = GmNode::new(nic, shared_clock(), p, board, 1 << 20); // 1 MB
     assert!(gm.book.register(512 << 10).is_ok());
@@ -162,7 +162,7 @@ fn pin_budget_is_enforced_end_to_end() {
 #[test]
 fn gm_no_send_tokens_is_reported() {
     let p = params();
-    let (_f, board, mut nics) = gm_cluster(2, Arc::clone(&p));
+    let (_f, board, mut nics) = gm_cluster_driven(2, Arc::clone(&p));
     let n1 = nics.pop().unwrap();
     let n0 = nics.pop().unwrap();
     let mut a = GmNode::new(n0, shared_clock(), Arc::clone(&p), Arc::clone(&board), 64 << 20);
