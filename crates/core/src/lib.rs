@@ -49,6 +49,6 @@ pub mod vc;
 pub mod wire;
 
 pub use metrics::{EventStat, LayerMetrics, MetricsHandle};
-pub use substrate::{Chan, IncomingMsg, ShutdownPoll, Substrate, WaitOutcome};
+pub use substrate::{Chan, IncomingMsg, Substrate};
 pub use tmk::{BarrierAlgo, DiffFetch, LockPath, SharedId, Tmk, TmkConfig, TmkEvent};
 pub use vc::VectorClock;

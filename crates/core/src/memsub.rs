@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams};
+use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Until, Wait};
 
 use crate::substrate::{Chan, IncomingMsg, Substrate};
 
@@ -214,7 +214,9 @@ impl Substrate for MemSubstrate {
         }
     }
 
-    fn next_incoming(&mut self) -> IncomingMsg {
+    /// Never loses a message, so `until` is never armed (see
+    /// [`Substrate::wait`]): blocks until the next message.
+    fn wait(&mut self, _until: Until) -> Wait<IncomingMsg> {
         loop {
             self.drain();
             if let Some(msg) = self.pop_earliest() {
@@ -222,7 +224,7 @@ impl Substrate for MemSubstrate {
                 c.wait_until(msg.arrival);
                 c.stats.msgs_recv += 1;
                 c.stats.bytes_recv += msg.data.len() as u64;
-                return msg;
+                return Wait::Got(msg);
             }
             match self.ep.rx.recv() {
                 Ok(m) => self.stash(m),

@@ -12,6 +12,11 @@
 //! compile time — the paper's "bound to TreadMarks at compile time", with
 //! zero dispatch overhead.
 //!
+//! Blocking has one entry point, [`Substrate::wait`]: wait for a message,
+//! optionally until a virtual deadline, optionally until watched peers
+//! have exited. Every layer below it (socket, NIC, scheduler park) takes
+//! the same [`Until`] pair and answers with the same [`Wait`] outcome.
+//!
 //! # Scheduling contract
 //!
 //! The fabric serializes transmits through a
@@ -19,16 +24,16 @@
 //! substrate participates by declaring a *lookahead* — a lower bound on
 //! the virtual delay between the moment its node becomes preemptible and
 //! the earliest instant any future packet of its can reach the wire — and
-//! by routing every send and blocking wait through its NIC handle's
-//! `*_floored` entry points. Both transports in this workspace do so at
-//! construction time (`GmNode::new`, `UdpStack::new`), so implementations
-//! layered on them inherit the contract for free;
+//! by passing its node's floor with every send (`inject_floored`) and
+//! every blocking wait (`NicHandle::recv`). Both transports in this
+//! workspace do so (`GmNode`, `UdpStack`), so implementations layered on
+//! them inherit the contract for free;
 //! [`sched_lookahead`](Substrate::sched_lookahead) exposes the declared
 //! value for diagnostics and for the lookahead table in `DESIGN.md`.
 
 use std::sync::Arc;
 
-use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams};
+use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Until, Wait};
 
 /// Which logical channel a message arrived on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,33 +42,6 @@ pub enum Chan {
     Request,
     /// Synchronous: the receiver is blocked waiting for it.
     Response,
-}
-
-/// One step of a lossy transport's shutdown linger (see
-/// [`Substrate::shutdown_poll`]).
-#[derive(Debug)]
-pub enum ShutdownPoll {
-    /// Every peer has shut down — safe to exit.
-    Done,
-    /// Peers remain and a datagram arrived that completed no message
-    /// (a fragment, or a malformed frame); poll again.
-    Quiet,
-    /// A (possibly duplicate) message arrived; the runtime should serve
-    /// requests so retransmitting peers can finish.
-    Msg(IncomingMsg),
-}
-
-/// Outcome of a deadline-bounded wait that also watches for peer
-/// departure (see
-/// [`Substrate::next_incoming_until_watching`]).
-#[derive(Debug)]
-pub enum WaitOutcome {
-    /// A message arrived (request or response).
-    Msg(IncomingMsg),
-    /// The virtual deadline passed first; the clock has advanced to it.
-    Deadline,
-    /// Every watched peer's NIC left the fabric first.
-    PeersDone,
 }
 
 /// A message delivered by the substrate.
@@ -131,29 +109,26 @@ pub trait Substrate {
         self.poll_request()
     }
 
-    /// Block until any request or response arrives. Advances the clock to
-    /// the message's arrival when the node was idle-waiting.
-    fn next_incoming(&mut self) -> IncomingMsg;
+    /// Block until any request or response arrives, until `until`'s
+    /// *virtual* deadline passes (the clock then sits at the deadline),
+    /// or until every node in its watch set has left the fabric. The
+    /// deadline is the runtime's retransmission timer; the watch set ends
+    /// the shutdown linger and cancels an exit-fan timer armed against a
+    /// peer that is already gone. Advances the clock to the message's
+    /// arrival when the node was idle-waiting.
+    ///
+    /// The runtime passes a deadline or a watch set only when
+    /// [`retransmit_timeout`](Substrate::retransmit_timeout) is `Some`.
+    /// Reliable transports never lose a message, so they may ignore
+    /// `until` and simply block.
+    fn wait(&mut self, until: Until) -> Wait<IncomingMsg>;
 
-    /// Like [`next_incoming`](Substrate::next_incoming) but bounded by a
-    /// *virtual-time* deadline; `None` means the deadline passed first
-    /// (and the clock has advanced to it). The runtime's retransmission
-    /// timer runs on this. Transports without a loss model never time
-    /// out, so the default simply blocks.
-    fn next_incoming_until(&mut self, _deadline: Ns) -> Option<IncomingMsg> {
-        Some(self.next_incoming())
-    }
-
-    /// Like [`next_incoming_until`](Substrate::next_incoming_until) but
-    /// additionally resolves when every node in `watch` has deregistered
-    /// its NIC. This is the exit fan's wait: a retransmission timer armed
-    /// against a peer that is already gone must *cancel* instead of
-    /// firing into a dead node (the peer can only have exited after its
-    /// release was applied, so the pending rpc is moot). Transports
-    /// without a loss model never arm the timer, so the default simply
-    /// blocks.
-    fn next_incoming_until_watching(&mut self, _deadline: Ns, _watch: &[usize]) -> WaitOutcome {
-        WaitOutcome::Msg(self.next_incoming())
+    /// Block until any request or response arrives:
+    /// [`wait`](Substrate::wait) with neither deadline nor watch set.
+    fn next_incoming(&mut self) -> IncomingMsg {
+        self.wait(Until::FOREVER)
+            .got()
+            .expect("an unbounded wait ends only with a message")
     }
 
     /// Initial retransmission timeout, if this transport needs DSM-level
@@ -175,25 +150,6 @@ pub trait Substrate {
     /// `true`.
     fn peer_alive(&self, _node: usize) -> bool {
         true
-    }
-
-    /// Shutdown linger on lossy transports: the barrier manager cannot
-    /// exit while a peer might still be retransmitting a request whose
-    /// response was lost, so it polls here — serving duplicates from the
-    /// replay cache — until every peer's NIC has left the fabric. The
-    /// default (reliable transports) reports `Done` immediately.
-    fn shutdown_poll(&mut self) -> ShutdownPoll {
-        ShutdownPoll::Done
-    }
-
-    /// [`shutdown_poll`](Substrate::shutdown_poll) scoped to a subset of
-    /// peers: report `Done` as soon as every node in `watch` has left the
-    /// fabric. Tree barriers use this so each combining node lingers only
-    /// for its own descendants (the only peers that retransmit to it) and
-    /// the tree drains bottom-up instead of deadlocking. The default
-    /// (reliable transports) reports `Done` immediately.
-    fn shutdown_poll_watching(&mut self, _watch: &[usize]) -> ShutdownPoll {
-        ShutdownPoll::Done
     }
 
     /// Largest message the substrate can carry in one piece. The runtime

@@ -16,11 +16,11 @@
 
 use std::collections::VecDeque;
 
-use tm_sim::Ns;
+use tm_sim::{Ns, Until, Wait};
 
 use super::{Tmk, TmkEvent};
 use crate::protocol::{Request, Response};
-use crate::substrate::{Chan, IncomingMsg, Substrate, WaitOutcome};
+use crate::substrate::{Chan, IncomingMsg, Substrate};
 use crate::wire::{pool, WireWriter};
 
 /// One issued-but-uncollected rpc: the pending-response slot
@@ -393,6 +393,17 @@ impl<S: Substrate> Tmk<S> {
     /// rids are parked in their slots, requests go to the async serve
     /// queue and are dispatched in virtual-arrival order between waits.
     pub(super) fn rpc_collect(&mut self, rid: u32) -> Response {
+        self.collect(rid, None).expect("no watched peer")
+    }
+
+    /// The collect loop behind [`Self::rpc_collect`]. With `watch` set
+    /// (the exit fan) it also ends when that peer has deregistered its
+    /// NIC: `None` means the peer is gone — it can only have exited after
+    /// applying our release, so the pending rpc is moot and its slot is
+    /// cancelled (retransmission timers must not keep firing into a dead
+    /// node and burning the give-up budget). Reliable transports never
+    /// lose the response, so they wait with neither deadline nor watch.
+    pub(super) fn collect(&mut self, rid: u32, watch: Option<usize>) -> Option<Response> {
         debug_assert!(
             self.outstanding.iter().any(|o| o.rid == rid),
             "node {}: collect of unissued rid {rid}",
@@ -401,63 +412,31 @@ impl<S: Substrate> Tmk<S> {
         let lossy = self.sub.retransmit_timeout().is_some();
         loop {
             if let Some(resp) = self.take_collected(rid) {
-                return resp;
+                return Some(resp);
             }
             self.drain_serve_queue();
             // Re-check after the drain: serving a `NoticeRelease` completes
             // one of our *own* slots locally — blocking below with the
             // answer already in hand would deadlock a reliable transport.
             if let Some(resp) = self.take_collected(rid) {
-                return resp;
+                return Some(resp);
             }
             self.clock().borrow_mut().begin_wait();
-            if lossy {
+            let until = if lossy {
                 let deadline = self
                     .nearest_deadline()
                     .expect("collecting with no unanswered rid");
-                match self.sub.next_incoming_until(deadline) {
-                    None => self.retransmit_due(),
-                    Some(msg) => self.absorb(msg),
+                Until {
+                    deadline: Some(deadline),
+                    watch: watch.as_ref().map(std::slice::from_ref),
                 }
             } else {
-                let msg = self.sub.next_incoming();
-                self.absorb(msg);
-            }
-        }
-    }
-
-    /// [`Self::rpc_collect`] for the exit fan: block until the response
-    /// for `rid` is in *or* `peer` has deregistered its NIC, whichever
-    /// the substrate observes first. `None` means the peer is gone — it
-    /// can only have exited after applying our release, so the pending
-    /// rpc is moot and its slot is cancelled (retransmission timers must
-    /// not keep firing into a dead node and burning the give-up budget).
-    /// Reliable transports never lose the response and collect normally.
-    pub(super) fn rpc_collect_or_peer_done(&mut self, rid: u32, peer: usize) -> Option<Response> {
-        if self.sub.retransmit_timeout().is_none() {
-            return Some(self.rpc_collect(rid));
-        }
-        debug_assert!(
-            self.outstanding.iter().any(|o| o.rid == rid),
-            "node {}: collect of unissued rid {rid}",
-            self.me
-        );
-        loop {
-            if let Some(resp) = self.take_collected(rid) {
-                return Some(resp);
-            }
-            self.drain_serve_queue();
-            if let Some(resp) = self.take_collected(rid) {
-                return Some(resp);
-            }
-            self.clock().borrow_mut().begin_wait();
-            let deadline = self
-                .nearest_deadline()
-                .expect("collecting with no unanswered rid");
-            match self.sub.next_incoming_until_watching(deadline, &[peer]) {
-                WaitOutcome::Msg(msg) => self.absorb(msg),
-                WaitOutcome::Deadline => self.retransmit_due(),
-                WaitOutcome::PeersDone => {
+                Until::FOREVER
+            };
+            match self.sub.wait(until) {
+                Wait::Got(msg) => self.absorb(msg),
+                Wait::Timeout => self.retransmit_due(),
+                Wait::PeersDone => {
                     self.cancel_rpc(rid);
                     return None;
                 }
@@ -692,35 +671,24 @@ impl<S: Substrate> Tmk<S> {
     }
 
     /// Lossy-transport shutdown linger: keep answering retransmitted
-    /// requests from the replay cache until every peer's NIC has left the
-    /// fabric (a client whose final release was lost depends on it).
-    pub(super) fn shutdown_linger(&mut self) {
+    /// requests from the replay cache until every node in `watch` has
+    /// left the fabric (a client whose final release was lost depends on
+    /// it). The centralized barrier manager watches every peer; a tree
+    /// node watches only its descendants, so it ends regardless of peers
+    /// elsewhere in the tree — lingering on the whole cluster would
+    /// deadlock parent against lingering ancestor.
+    pub(super) fn shutdown_linger(&mut self, watch: &[usize]) {
         self.drain_serve_queue();
-        loop {
-            match self.sub.shutdown_poll() {
-                crate::substrate::ShutdownPoll::Done => break,
-                crate::substrate::ShutdownPoll::Quiet => {}
-                crate::substrate::ShutdownPoll::Msg(msg) => self.linger_dispatch(msg),
-            }
+        let until = Until {
+            deadline: None,
+            watch: Some(watch),
+        };
+        while let Wait::Got(msg) = self.sub.wait(until) {
+            self.linger_dispatch(msg);
         }
     }
 
-    /// Shutdown linger scoped to `watch` (a tree node's descendants):
-    /// ends as soon as every watched peer's NIC has left the fabric,
-    /// regardless of peers elsewhere in the tree — lingering on the whole
-    /// cluster would deadlock parent against lingering ancestor.
-    pub(super) fn shutdown_linger_watching(&mut self, watch: &[usize]) {
-        self.drain_serve_queue();
-        loop {
-            match self.sub.shutdown_poll_watching(watch) {
-                crate::substrate::ShutdownPoll::Done => break,
-                crate::substrate::ShutdownPoll::Quiet => {}
-                crate::substrate::ShutdownPoll::Msg(msg) => self.linger_dispatch(msg),
-            }
-        }
-    }
-
-    fn linger_dispatch(&mut self, msg: crate::substrate::IncomingMsg) {
+    fn linger_dispatch(&mut self, msg: IncomingMsg) {
         if !msg.lost && msg.chan == Chan::Request {
             self.serve(msg.from, &msg.data, msg.arrival);
         } else if !msg.lost && msg.chan == Chan::Response {

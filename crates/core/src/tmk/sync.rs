@@ -759,7 +759,7 @@ impl<S: Substrate> Tmk<S> {
         }
         let fanned = acks.len() as u16;
         for (node, nrid) in acks {
-            match self.rpc_collect_or_peer_done(nrid, node) {
+            match self.collect(nrid, Some(node)) {
                 Some(Response::NoticeAck { barrier }) => {
                     assert_eq!(barrier, id, "ack for barrier {barrier}, expected {id}")
                 }
@@ -824,10 +824,12 @@ impl<S: Substrate> Tmk<S> {
             if self.tree_radix().is_some() {
                 let watch = self.tree_descendants();
                 if !watch.is_empty() {
-                    self.shutdown_linger_watching(&watch);
+                    self.shutdown_linger(&watch);
                 }
             } else if self.me == self.cfg.barrier_manager {
-                self.shutdown_linger();
+                let me = usize::from(self.me);
+                let peers: Vec<usize> = (0..self.nprocs()).filter(|&i| i != me).collect();
+                self.shutdown_linger(&peers);
             }
         }
     }

@@ -9,7 +9,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use tm_sim::clock::shared_clock;
-use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams};
+use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Until, Wait};
 
 use crate::memsub::{mem_cluster, MemSubstrate};
 use crate::protocol::{Request, Response};
@@ -54,8 +54,8 @@ impl Substrate for LossyMem {
     fn poll_request(&mut self) -> Option<IncomingMsg> {
         self.0.poll_request()
     }
-    fn next_incoming(&mut self) -> IncomingMsg {
-        self.0.next_incoming()
+    fn wait(&mut self, until: Until) -> Wait<IncomingMsg> {
+        self.0.wait(until)
     }
     fn retransmit_timeout(&self) -> Option<Ns> {
         Some(Ns::from_us(500))

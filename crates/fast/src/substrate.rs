@@ -6,7 +6,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use tm_gm::{gm_size, DmaPool, GmEvent, GmNode, MAX_SIZE_CLASS};
 use tm_sim::faults::checksum32;
-use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams};
+use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Until, Wait};
 use tmk::framing::{self, FragHeader, Reassembler};
 use tmk::wire::pool;
 use tmk::{Chan, IncomingMsg, Substrate};
@@ -571,11 +571,13 @@ impl Substrate for FastSubstrate {
         None
     }
 
-    fn next_incoming(&mut self) -> IncomingMsg {
+    /// GM delivery is reliable, so `until` is never armed (see
+    /// [`Substrate::wait`]): blocks until the next message.
+    fn wait(&mut self, _until: Until) -> Wait<IncomingMsg> {
         loop {
             let (port, ev) = self.gm.blocking_receive(&[REQ_PORT, REP_PORT]);
             if let Some(msg) = self.handle_event(port, ev) {
-                return msg;
+                return Wait::Got(msg);
             }
         }
     }

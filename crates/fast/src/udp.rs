@@ -8,11 +8,11 @@
 
 use std::sync::Arc;
 
-use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams};
-use tm_udp::{RecvOutcome, UdpStack};
+use tm_sim::{AsyncScheme, Ns, SharedClock, SimParams, Until, Wait};
+use tm_udp::UdpStack;
 use tmk::framing::{self, FragHeader, Reassembler};
 use tmk::wire::pool;
-use tmk::{Chan, IncomingMsg, ShutdownPoll, Substrate, WaitOutcome};
+use tmk::{Chan, IncomingMsg, Substrate};
 
 /// Socket number for asynchronous requests (SIGIO).
 pub const REQ_SOCK: u16 = 1;
@@ -153,27 +153,6 @@ impl UdpSubstrate {
             _ => self.malformed(),
         }
     }
-
-    /// Shutdown linger: block until a late datagram is served or every
-    /// watched peer's NIC deregistration lands as a scheduler `Done`
-    /// event. No wall-clock liveness poll and no rto quantum count — both
-    /// the served-message set and the lingering node's final virtual
-    /// clock are deterministic.
-    fn linger_done_watch(&mut self, watch: &[usize]) -> ShutdownPoll {
-        match self.udp.recv_any_or_dead(&[REQ_SOCK, REP_SOCK], watch) {
-            Some((sock, d)) => match self.handle(sock, d) {
-                Some(msg) => ShutdownPoll::Msg(msg),
-                None => ShutdownPoll::Quiet,
-            },
-            None => ShutdownPoll::Done,
-        }
-    }
-
-    /// All peers of this node (the cluster-wide linger's watch set).
-    fn all_peers(&self) -> Vec<usize> {
-        let me = self.udp.node();
-        (0..self.udp.nprocs()).filter(|&i| i != me).collect()
-    }
 }
 
 impl Substrate for UdpSubstrate {
@@ -242,37 +221,18 @@ impl Substrate for UdpSubstrate {
         None
     }
 
-    fn next_incoming(&mut self) -> IncomingMsg {
+    /// Each pass is one `select()` + `recvfrom()`; a datagram that
+    /// completes no message (a fragment, a malformed frame) costs a retry.
+    fn wait(&mut self, until: Until) -> Wait<IncomingMsg> {
         loop {
-            let (sock, d) = self.udp.recv_any(&[REQ_SOCK, REP_SOCK]);
-            if let Some(msg) = self.handle(sock, d) {
-                return msg;
-            }
-        }
-    }
-
-    fn next_incoming_until(&mut self, deadline: Ns) -> Option<IncomingMsg> {
-        loop {
-            let (sock, d) = self.udp.recv_any_timeout(&[REQ_SOCK, REP_SOCK], deadline)?;
-            if let Some(msg) = self.handle(sock, d) {
-                return Some(msg);
-            }
-        }
-    }
-
-    fn next_incoming_until_watching(&mut self, deadline: Ns, watch: &[usize]) -> WaitOutcome {
-        loop {
-            match self
-                .udp
-                .recv_any_timeout_watching(&[REQ_SOCK, REP_SOCK], watch, deadline)
-            {
-                RecvOutcome::Datagram((sock, d)) => {
+            match self.udp.recv(&[REQ_SOCK, REP_SOCK], until) {
+                Wait::Got((sock, d)) => {
                     if let Some(msg) = self.handle(sock, d) {
-                        return WaitOutcome::Msg(msg);
+                        return Wait::Got(msg);
                     }
                 }
-                RecvOutcome::Timeout => return WaitOutcome::Deadline,
-                RecvOutcome::PeersDone => return WaitOutcome::PeersDone,
+                Wait::Timeout => return Wait::Timeout,
+                Wait::PeersDone => return Wait::PeersDone,
             }
         }
     }
@@ -289,15 +249,6 @@ impl Substrate for UdpSubstrate {
 
     fn peer_alive(&self, node: usize) -> bool {
         self.udp.peers_alive_in(&[node])
-    }
-
-    fn shutdown_poll(&mut self) -> ShutdownPoll {
-        let watch = self.all_peers();
-        self.linger_done_watch(&watch)
-    }
-
-    fn shutdown_poll_watching(&mut self, watch: &[usize]) -> ShutdownPoll {
-        self.linger_done_watch(watch)
     }
 }
 

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use tm_myrinet::{Fabric, NicHandle, NodeId, RawPacket};
-use tm_sim::{Ns, SharedClock, SimParams};
+use tm_sim::{Ns, SharedClock, SimParams, Until};
 
 use crate::memory::{PooledBuf, RegBook, RegionId};
 use crate::size::gm_size;
@@ -17,6 +17,8 @@ use crate::size::gm_size;
 pub const NUM_PORTS: u8 = 8;
 /// Port 0 belongs to the GM mapper daemon.
 pub const MAPPER_PORT: u8 = 0;
+/// The NIC ports user endpoints can open (all but the mapper's).
+const GM_PORTS: [u16; NUM_PORTS as usize - 1] = [1, 2, 3, 4, 5, 6, 7];
 
 /// Errors surfaced by the GM API model.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -444,30 +446,9 @@ impl GmNode {
     /// sends to their target regions.
     fn sort_arrivals(&mut self) {
         // Drain every GM port's raw queue.
-        for port in 1..NUM_PORTS {
-            while let Some(pkt) = self.nic.poll_port(port as u16) {
-                if let Some((region, offset)) = pkt.directed {
-                    // RDMA write straight into the registered region.
-                    if let Some(r) = self.book.region_mut(region) {
-                        let off = offset as usize;
-                        let end = off + pkt.payload.len();
-                        assert!(
-                            end <= r.data.len(),
-                            "directed send overruns region {region}"
-                        );
-                        r.data[off..end].copy_from_slice(&pkt.payload);
-                    }
-                    continue;
-                }
-                if let Some(p) = self.ports[port as usize].as_mut() {
-                    let size = gm_size(pkt.payload.len());
-                    if p.recv_buffers[size as usize] > 0 {
-                        p.recv_buffers[size as usize] -= 1;
-                        p.ready.push_back(pkt);
-                    } else {
-                        p.unmatched.push_back(pkt);
-                    }
-                } // packets to closed ports vanish (GM drops them)
+        for port in GM_PORTS {
+            while let Some(pkt) = self.nic.poll_port(port) {
+                self.accept(pkt);
             }
         }
         // Retry unmatched packets against buffers provided since, and
@@ -616,34 +597,33 @@ impl GmNode {
                 continue;
             }
             // Genuinely idle: park on the scheduler, carrying our floor
-            // so peers' grants are not blocked by a sleeping node.
+            // so peers' grants are not blocked by a sleeping node. Wake
+            // for *any* GM port's traffic: directed sends may target
+            // other ports.
             let floor = self.sched_floor();
-            let pkt = self.nic.recv_any_floored(&Self::port_filter(ports), floor);
-            // Push it back through the demux by re-stashing: simplest is to
-            // handle it directly here.
-            self.handle_parked(pkt);
+            let pkt = self.nic.recv(&GM_PORTS, Until::FOREVER, floor);
+            self.accept(pkt.got().expect("unbounded wait"));
         }
     }
 
-    fn port_filter(ports: &[u8]) -> Vec<u16> {
-        // We must wake for *any* GM port traffic (directed sends may target
-        // other ports), so listen on all GM ports.
-        let _ = ports;
-        (1..NUM_PORTS as u16).collect()
-    }
-
-    fn handle_parked(&mut self, pkt: RawPacket) {
-        let port = pkt.dst_port as usize;
+    /// Take one arrived packet: apply a directed send to its target
+    /// region, or match it against the port's preposted buffers. Packets
+    /// to closed ports vanish (GM drops them).
+    fn accept(&mut self, pkt: RawPacket) {
         if let Some((region, offset)) = pkt.directed {
+            // RDMA write straight into the registered region.
             if let Some(r) = self.book.region_mut(region) {
                 let off = offset as usize;
                 let end = off + pkt.payload.len();
-                assert!(end <= r.data.len(), "directed send overruns region");
+                assert!(
+                    end <= r.data.len(),
+                    "directed send overruns region {region}"
+                );
                 r.data[off..end].copy_from_slice(&pkt.payload);
             }
             return;
         }
-        if let Some(p) = self.ports[port].as_mut() {
+        if let Some(p) = self.ports[pkt.dst_port as usize].as_mut() {
             let size = gm_size(pkt.payload.len());
             if p.recv_buffers[size as usize] > 0 {
                 p.recv_buffers[size as usize] -= 1;

@@ -299,6 +299,11 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tm_sim::Until;
+
+    fn recv_forever(nic: &mut NicHandle, port: u16) -> RawPacket {
+        nic.recv(&[port], Until::FOREVER, Ns::ZERO).got().expect("a packet")
+    }
 
     fn fabric(n: usize) -> (Arc<Fabric>, Vec<NicHandle>) {
         Fabric::new_driven(n, Arc::new(SimParams::paper_testbed()))
@@ -308,7 +313,7 @@ mod tests {
     fn transmit_delivers_to_inbox() {
         let (f, mut nics) = fabric(2);
         let arr = f.transmit(0, 1, 2, 3, Bytes::from_static(b"hi"), Ns(0), None);
-        let pkt = nics[1].recv_blocking();
+        let pkt = recv_forever(&mut nics[1], 3);
         assert_eq!(pkt.src, 0);
         assert_eq!(pkt.src_port, 2);
         assert_eq!(pkt.dst_port, 3);
@@ -345,7 +350,7 @@ mod tests {
         let (f, mut nics) = fabric(2);
         let arr = f.transmit(0, 0, 1, 1, Bytes::from_static(b"self"), Ns(100), None);
         assert_eq!(arr, Ns(100) + f.params().net.nic_rx);
-        let pkt = nics[0].recv_blocking();
+        let pkt = recv_forever(&mut nics[0], 1);
         assert_eq!(pkt.src, 0);
     }
 
@@ -424,8 +429,8 @@ mod tests {
                 }));
             }
             let recv_thread = thread::spawn(move || {
-                let a = receiver.recv_blocking();
-                let b = receiver.recv_blocking();
+                let a = recv_forever(&mut receiver, 0);
+                let b = recv_forever(&mut receiver, 0);
                 vec![(a.src, a.arrival), (b.src, b.arrival)]
             });
             for s in senders {

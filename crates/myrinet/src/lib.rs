@@ -11,7 +11,7 @@
 //! UDP/GM and FAST/GM ran over the same NICs and switch.
 //!
 //! Delivery is via real channels: a node thread blocking on
-//! [`NicHandle::recv_blocking`] is genuinely parked until a packet lands,
+//! [`NicHandle::recv`] is genuinely parked until a packet lands,
 //! so protocol deadlocks deadlock.
 
 pub mod fabric;
@@ -19,5 +19,5 @@ pub mod nic;
 pub mod packet;
 
 pub use fabric::Fabric;
-pub use nic::{DeadlineWatchRecv, NicHandle};
+pub use nic::NicHandle;
 pub use packet::{NodeId, RawPacket};

@@ -5,26 +5,13 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
-use tm_sim::{Ns, WakeReason};
+use tm_sim::{Ns, Until, Wait, WakeReason};
 
 use crate::fabric::Fabric;
 use crate::packet::{NodeId, RawPacket};
 
 /// Ports below this value belong to GM; at or above, to the sockets layer.
 pub const SOCKET_PORT_BASE: u16 = 1024;
-
-/// Outcome of a combined deadline + done-watch receive
-/// ([`NicHandle::recv_any_deadline_done_watch`]).
-#[derive(Debug)]
-pub enum DeadlineWatchRecv {
-    /// A packet arrived (at or before the deadline, or handed over by
-    /// the final drain after the watched peers departed).
-    Pkt(RawPacket),
-    /// The deadline became the cluster's next event.
-    Timeout,
-    /// Every watched peer deregistered its NIC, and no packet remained.
-    PeersDone,
-}
 
 /// A node's handle on its NIC. Owned by the node thread.
 ///
@@ -86,7 +73,7 @@ impl NicHandle {
     /// deterministic), or `false` if a delivery raced in first (the
     /// caller must re-drain and re-examine its queues). `seen` is the
     /// [`NicHandle::delivery_signature`] sampled before the caller's
-    /// drain; `floor` as in [`NicHandle::recv_any_floored`].
+    /// drain; `floor` as in [`NicHandle::recv`].
     pub fn poll_quiesce(&self, t: Ns, seen: u64, floor: Ns) -> bool {
         self.fabric.sched().poll_quiesce(self.node, t, seen, floor)
     }
@@ -225,12 +212,12 @@ impl NicHandle {
     }
 
     /// Index of the demux queue whose front packet has the smallest
-    /// arrival time among `ports` (or all ports when `None`) —
-    /// virtual-time fairness between ports. Callers drain first.
-    fn best_queued_idx(&self, ports: Option<&[u16]>) -> Option<usize> {
+    /// arrival time among `ports` — virtual-time fairness between ports.
+    /// Callers drain first.
+    fn best_queued_idx(&self, ports: &[u16]) -> Option<usize> {
         let mut best: Option<(usize, Ns)> = None;
         for (i, (p, q)) in self.queues.iter().enumerate() {
-            if ports.is_none_or(|ps| ps.contains(p)) {
+            if ports.contains(p) {
                 if let Some(front) = q.front() {
                     if best.is_none_or(|(_, a)| front.arrival < a) {
                         best = Some((i, front.arrival));
@@ -241,27 +228,37 @@ impl NicHandle {
         best.map(|(i, _)| i)
     }
 
-    /// Block until a packet is available on *any* of `ports`; returns it.
-    /// FIFO across the wire per sender; arrival order across senders is
-    /// virtual-key grant order.
-    pub fn recv_any_blocking(&mut self, ports: &[u16]) -> RawPacket {
-        self.recv_any_floored(ports, Ns::ZERO)
+    /// Pop the earliest-arriving packet queued on `ports` if it arrives
+    /// by `until`'s deadline. `Err(true)` means a packet is queued but
+    /// lands after the deadline (it stays queued); `Err(false)` means
+    /// nothing is queued.
+    fn pop_by(&mut self, ports: &[u16], until: Until) -> Result<RawPacket, bool> {
+        self.drain();
+        let i = self.best_queued_idx(ports).ok_or(false)?;
+        let q = &mut self.queues[i].1;
+        if until.admits(q.front().expect("non-empty").arrival) {
+            Ok(q.pop_front().expect("non-empty"))
+        } else {
+            Err(true)
+        }
     }
 
-    /// [`NicHandle::recv_any_blocking`] with an explicit lockstep park
-    /// floor: a sound lower bound on any packet this node may inject
+    /// Block until a packet is queued on any of `ports`, `until`'s
+    /// deadline becomes the cluster's next event, or every node in its
+    /// watch set has deregistered its NIC (dropped its handle) —
+    /// whichever the lockstep scheduler orders first. The earliest
+    /// arrival across `ports` is returned; one with arrival after the
+    /// deadline means [`Wait::Timeout`] and stays queued. After a
+    /// peers-done wake one last drain runs, and any packet it finds wins
+    /// whatever its arrival: the departed peers' final transmits were
+    /// granted before their drops. No wall clock is consulted, and a
+    /// cluster deadlock panics in the scheduler with the parked-node set.
+    ///
+    /// `floor` is a sound lower bound on any packet this node may inject
     /// after waking (clock preemptible-window start + declared
-    /// lookahead). `Ns::ZERO` is always safe — the woken node then
-    /// blocks all grants until its next scheduler interaction — and is
-    /// what the floor-less wrapper passes.
-    pub fn recv_any_floored(&mut self, ports: &[u16], floor: Ns) -> RawPacket {
-        self.recv_floored(Some(ports), floor)
-    }
-
-    /// Park on the scheduler (never the channel) until a packet is queued
-    /// on one of `ports` (any port when `None`): cluster deadlock panics
-    /// there with the parked-node set.
-    fn recv_floored(&mut self, ports: Option<&[u16]>, floor: Ns) -> RawPacket {
+    /// lookahead). `Ns::ZERO` is always safe: the woken node then blocks
+    /// all grants until its next scheduler interaction.
+    pub fn recv(&mut self, ports: &[u16], until: Until, floor: Ns) -> Wait<RawPacket> {
         let sched = Arc::clone(self.fabric.sched());
         loop {
             // Capture the delivery signature *before* draining: if a
@@ -269,158 +266,24 @@ impl NicHandle {
             // signature mismatch makes the park bounce back immediately
             // instead of sleeping through the wakeup.
             let sig = sched.delivery_count(self.node);
-            self.drain();
-            if let Some(i) = self.best_queued_idx(ports) {
-                return self.queues[i].1.pop_front().expect("non-empty");
-            }
-            let _ = sched.park(self.node, sig, None, floor);
-        }
-    }
-
-    /// Bounded receive: block until a packet with arrival
-    /// ≤ `deadline` is available on any of `ports`, or until the
-    /// deadline itself becomes the cluster's next event. Returns `None`
-    /// on timeout — including when the earliest queued packet arrives
-    /// *after* the deadline (it stays queued; the caller's virtual clock
-    /// jumps to the deadline). `floor` as in
-    /// [`NicHandle::recv_any_floored`]. The timeout is a virtual-time
-    /// scheduler event; no wall clock is consulted.
-    pub fn recv_any_deadline(
-        &mut self,
-        ports: &[u16],
-        deadline: Ns,
-        floor: Ns,
-    ) -> Option<RawPacket> {
-        let sched = Arc::clone(self.fabric.sched());
-        loop {
-            let sig = sched.delivery_count(self.node);
-            self.drain();
-            if let Some(i) = self.best_queued_idx(Some(ports)) {
-                let q = &mut self.queues[i].1;
-                if q.front().expect("non-empty").arrival <= deadline {
-                    return q.pop_front();
-                }
+            match self.pop_by(ports, until) {
+                Ok(pkt) => return Wait::Got(pkt),
                 // The next event for this node is already past the
                 // deadline: the timeout fires first, deterministically.
-                return None;
+                Err(true) => return Wait::Timeout,
+                Err(false) => {}
             }
-            match sched.park(self.node, sig, Some(deadline), floor) {
-                WakeReason::Delivered => continue,
-                WakeReason::PeersDone => unreachable!("plain parks carry no done-watch"),
+            match sched.park(self.node, sig, until, floor) {
+                WakeReason::Delivered => {}
                 WakeReason::Timeout => {
-                    self.drain();
-                    if let Some(i) = self.best_queued_idx(Some(ports)) {
-                        let q = &mut self.queues[i].1;
-                        if q.front().expect("non-empty").arrival <= deadline {
-                            return q.pop_front();
-                        }
-                    }
-                    return None;
+                    return self.pop_by(ports, until).map_or(Wait::Timeout, Wait::Got);
                 }
-            }
-        }
-    }
-
-    /// Shutdown-linger receive: block until a packet is
-    /// available on any of `ports`, or until every node in `watch` has
-    /// deregistered its NIC (dropped its handle), in which case `None`
-    /// is returned. Deregistration is routed through the scheduler as a
-    /// `Done` event ([`tm_sim::LockstepSched::park_done_watch`]), so the
-    /// exact set of packets served before the `None` — and therefore
-    /// every post-exit counter — is deterministic; no wall-clock
-    /// liveness flag is consulted. `floor` as in
-    /// [`NicHandle::recv_any_floored`].
-    pub fn recv_any_done_watch(
-        &mut self,
-        ports: &[u16],
-        watch: &[NodeId],
-        floor: Ns,
-    ) -> Option<RawPacket> {
-        let sched = Arc::clone(self.fabric.sched());
-        loop {
-            let sig = sched.delivery_count(self.node);
-            self.drain();
-            if let Some(i) = self.best_queued_idx(Some(ports)) {
-                return self.queues[i].1.pop_front();
-            }
-            match sched.park_done_watch(self.node, watch, sig, floor) {
-                WakeReason::Delivered => continue,
                 WakeReason::PeersDone => {
-                    // The watched peers' final transmits were granted
-                    // before their drops; one last drain picks them up.
-                    self.drain();
-                    return match self.best_queued_idx(Some(ports)) {
-                        Some(i) => self.queues[i].1.pop_front(),
-                        None => None,
-                    };
-                }
-                WakeReason::Timeout => unreachable!("no deadline on a done-watch park"),
-            }
-        }
-    }
-
-    /// Combined deadline + done-watch receive: block for
-    /// a packet on `ports` until virtual time `deadline` becomes the
-    /// cluster's next event *or* every node in `watch` deregisters its
-    /// NIC — whichever the scheduler orders first. This is the exit
-    /// fan's wait: the deadline keeps a lost notice's retransmission
-    /// timer live while the watched consumer can still be reached, and
-    /// the done-watch cancels that timer deterministically the moment
-    /// the consumer is gone, so a retransmission never fires into a dead
-    /// node. On `PeersDone` a final drain hands over any packet the
-    /// departing peers' last transmits delivered (their grants are
-    /// ordered before their drops).
-    pub fn recv_any_deadline_done_watch(
-        &mut self,
-        ports: &[u16],
-        watch: &[NodeId],
-        deadline: Ns,
-        floor: Ns,
-    ) -> DeadlineWatchRecv {
-        let sched = Arc::clone(self.fabric.sched());
-        loop {
-            let sig = sched.delivery_count(self.node);
-            self.drain();
-            if let Some(i) = self.best_queued_idx(Some(ports)) {
-                let q = &mut self.queues[i].1;
-                if q.front().expect("non-empty").arrival <= deadline {
-                    return DeadlineWatchRecv::Pkt(q.pop_front().expect("non-empty"));
-                }
-                // The next event for this node is already past the
-                // deadline: the timeout fires first, deterministically.
-                return DeadlineWatchRecv::Timeout;
-            }
-            match sched.park_deadline_done_watch(self.node, watch, sig, deadline, floor) {
-                WakeReason::Delivered => continue,
-                WakeReason::PeersDone => {
-                    self.drain();
-                    return match self.best_queued_idx(Some(ports)) {
-                        // A packet the peer's final grant delivered wins
-                        // over the cancellation, whatever its arrival —
-                        // matching `recv_any_done_watch`'s last drain.
-                        Some(i) => DeadlineWatchRecv::Pkt(
-                            self.queues[i].1.pop_front().expect("non-empty"),
-                        ),
-                        None => DeadlineWatchRecv::PeersDone,
-                    };
-                }
-                WakeReason::Timeout => {
-                    self.drain();
-                    if let Some(i) = self.best_queued_idx(Some(ports)) {
-                        let q = &mut self.queues[i].1;
-                        if q.front().expect("non-empty").arrival <= deadline {
-                            return DeadlineWatchRecv::Pkt(q.pop_front().expect("non-empty"));
-                        }
-                    }
-                    return DeadlineWatchRecv::Timeout;
+                    let last = self.pop_by(ports, Until::FOREVER);
+                    return last.map_or(Wait::PeersDone, Wait::Got);
                 }
             }
         }
-    }
-
-    /// Block until any packet at all arrives (used by raw benchmarks).
-    pub fn recv_blocking(&mut self) -> RawPacket {
-        self.recv_floored(None, Ns::ZERO)
     }
 }
 
@@ -437,6 +300,10 @@ mod tests {
 
     fn pair() -> (Arc<Fabric>, Vec<NicHandle>) {
         Fabric::new_driven(2, Arc::new(SimParams::paper_testbed()))
+    }
+
+    fn recv_forever(nic: &mut NicHandle, ports: &[u16]) -> RawPacket {
+        nic.recv(ports, Until::FOREVER, Ns::ZERO).got().expect("a packet")
     }
 
     #[test]
@@ -462,7 +329,7 @@ mod tests {
         // queued first, selection must follow virtual arrival time.
         f.transmit(1, 1, 0, 5, Bytes::from_static(b"late"), Ns::from_ms(10), None);
         f.transmit(0, 1, 0, 6, Bytes::from_static(b"early"), Ns(0), None);
-        let got = nics[1].recv_any_blocking(&[5, 6]);
+        let got = recv_forever(&mut nics[1], &[5, 6]);
         assert_eq!(&got.payload[..], b"early");
     }
 
@@ -471,7 +338,7 @@ mod tests {
         let (f, mut nics) = pair();
         f.transmit(0, 1, 0, 7, Bytes::from_static(b"other"), Ns(0), None);
         f.transmit(0, 1, 0, 5, Bytes::from_static(b"mine"), Ns(0), None);
-        let got = nics[1].recv_any_blocking(&[5]);
+        let got = recv_forever(&mut nics[1], &[5]);
         assert_eq!(&got.payload[..], b"mine");
         // The port-7 packet is still queued.
         assert_eq!(nics[1].queued(7), 1);
@@ -482,7 +349,7 @@ mod tests {
         use std::thread;
         let (f, mut nics) = pair();
         let mut n1 = nics.remove(1);
-        let t = thread::spawn(move || n1.recv_any_blocking(&[3]).payload);
+        let t = thread::spawn(move || recv_forever(&mut n1, &[3]).payload);
         thread::sleep(std::time::Duration::from_millis(20));
         f.transmit(0, 1, 0, 3, Bytes::from_static(b"wake"), Ns(0), None);
         assert_eq!(&t.join().unwrap()[..], b"wake");

@@ -33,6 +33,6 @@ pub use clock::{AsyncScheme, NodeClock, SharedClock};
 pub use faults::FaultPlan;
 pub use params::SimParams;
 pub use runner::{run_cluster, NodeEnv};
-pub use sched::{LockstepSched, TokenMode, WakeReason};
+pub use sched::{LockstepSched, TokenMode, Until, Wait, WakeReason};
 pub use stats::NodeStats;
 pub use time::Ns;

@@ -111,19 +111,6 @@ pub enum TokenMode {
     PerReceiver,
 }
 
-impl TokenMode {
-    /// Parse from an environment-style string: `single` selects
-    /// [`TokenMode::Single`]; `per-receiver`, `per_receiver` or the
-    /// empty string select [`TokenMode::PerReceiver`].
-    pub fn parse(s: &str) -> Option<TokenMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "single" => Some(TokenMode::Single),
-            "" | "per-receiver" | "per_receiver" | "perreceiver" => Some(TokenMode::PerReceiver),
-            _ => None,
-        }
-    }
-}
-
 /// Why a parked node was released.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WakeReason {
@@ -132,11 +119,62 @@ pub enum WakeReason {
     Delivered,
     /// The park's virtual deadline became the cluster's next event.
     Timeout,
-    /// Every node in the park's done-watch set has deregistered its NIC
-    /// ([`LockstepSched::mark_done`]); reported by
-    /// [`LockstepSched::park_done_watch`] and
-    /// [`LockstepSched::park_deadline_done_watch`].
+    /// Every node in the park's watch set has deregistered its NIC
+    /// ([`LockstepSched::mark_done`]).
     PeersDone,
+}
+
+/// What a blocking wait waits for besides a delivery: a virtual
+/// `deadline` (the DSM retransmission timer), a `watch` set of peers
+/// whose NIC deregistration ends the wait (the shutdown linger, the exit
+/// fan), both, or neither ([`Until::FOREVER`]). Every blocking wait in
+/// the stack — [`LockstepSched::park`], the NIC receive, the socket
+/// receive and the substrate wait — takes this one pair.
+#[derive(Debug, Clone, Copy)]
+pub struct Until<'a> {
+    pub deadline: Option<Ns>,
+    pub watch: Option<&'a [usize]>,
+}
+
+impl Until<'_> {
+    /// Wait for a delivery only.
+    pub const FOREVER: Until<'static> = Until {
+        deadline: None,
+        watch: None,
+    };
+
+    /// Wait for a delivery until virtual time `t`.
+    pub fn deadline(t: Ns) -> Until<'static> {
+        Until {
+            deadline: Some(t),
+            watch: None,
+        }
+    }
+
+    /// Does an item arriving at `arrival` beat the deadline? (Ties go to
+    /// the item.)
+    pub fn admits(&self, arrival: Ns) -> bool {
+        self.deadline.is_none_or(|d| arrival <= d)
+    }
+}
+
+/// How a blocking wait ended: with an item, at its deadline, or because
+/// every watched peer left (see [`Until`]).
+#[derive(Debug)]
+pub enum Wait<T> {
+    Got(T),
+    Timeout,
+    PeersDone,
+}
+
+impl<T> Wait<T> {
+    /// The item, if the wait produced one.
+    pub fn got(self) -> Option<T> {
+        match self {
+            Wait::Got(x) => Some(x),
+            Wait::Timeout | Wait::PeersDone => None,
+        }
+    }
 }
 
 /// A totally ordered event key: virtual time, then node id, then the
@@ -472,89 +510,44 @@ impl LockstepSched {
         self.state.lock().unwrap().nodes[node].deliveries
     }
 
-    /// Park `node` until a packet is delivered to it or — when `deadline`
-    /// is `Some(d)` — until virtual time `d` becomes the cluster's next
-    /// event. `seen_deliveries` is the value of
-    /// [`LockstepSched::delivery_count`] captured before the caller
-    /// last drained its inbox; `floor` is the node's floor while parked
-    /// and on timeout release (its preemptible-window start plus
-    /// lookahead).
-    pub fn park(
-        &self,
-        node: usize,
-        seen_deliveries: u64,
-        deadline: Option<Ns>,
-        floor: Ns,
-    ) -> WakeReason {
-        self.park_inner(node, seen_deliveries, deadline, floor, None)
-    }
-
-    /// Park `node` until a packet is delivered to it or every node in
-    /// `watch` has deregistered its NIC ([`LockstepSched::mark_done`]).
-    /// Returns [`WakeReason::PeersDone`] immediately when the watch set
-    /// is already drained. This is what makes shutdown lingers
-    /// deterministic: "have my peers exited?" stops being a wall-clock
-    /// poll of liveness flags and becomes an ordered scheduler event —
-    /// the release is serialized against every delivery and grant, so the
-    /// number of messages a lingering manager serves before concluding
-    /// `Done` is a pure function of the program.
+    /// Park `node` until a packet is delivered to it, until
+    /// `until.deadline` becomes the cluster's next event, or until every
+    /// node in `until.watch` has deregistered its NIC
+    /// ([`LockstepSched::mark_done`]) — whichever the scheduler orders
+    /// first. `seen_deliveries` is the value of
+    /// [`LockstepSched::delivery_count`] captured before the caller last
+    /// drained its inbox; `floor` is the node's floor while parked and on
+    /// release (its preemptible-window start plus lookahead).
     ///
-    /// `seen_deliveries` and `floor` are as for [`LockstepSched::park`].
-    pub fn park_done_watch(
-        &self,
-        node: usize,
-        watch: &[usize],
-        seen_deliveries: u64,
-        floor: Ns,
-    ) -> WakeReason {
-        self.park_inner(node, seen_deliveries, None, floor, Some(watch))
-    }
-
-    /// Park `node` until a packet is delivered, virtual time `deadline`
-    /// becomes the cluster's next event, *or* every node in `watch` has
-    /// deregistered its NIC — whichever comes first. This is the exit
-    /// fan's wait: the deadline keeps a lost notice's retransmission
-    /// timer live while the consumer can still be reached, and the
-    /// done-watch cancels that timer the moment the consumer is gone, so
-    /// a retransmission never fires into a dead node.
-    pub fn park_deadline_done_watch(
-        &self,
-        node: usize,
-        watch: &[usize],
-        seen_deliveries: u64,
-        deadline: Ns,
-        floor: Ns,
-    ) -> WakeReason {
-        self.park_inner(node, seen_deliveries, Some(deadline), floor, Some(watch))
-    }
-
-    fn park_inner(
-        &self,
-        node: usize,
-        seen_deliveries: u64,
-        deadline: Option<Ns>,
-        floor: Ns,
-        watch: Option<&[usize]>,
-    ) -> WakeReason {
+    /// Returns [`WakeReason::PeersDone`] at once when the watch set is
+    /// already drained. The watch is what makes shutdown lingers
+    /// deterministic: "have my peers exited?" stops being a wall-clock
+    /// poll of liveness flags and becomes an ordered scheduler event,
+    /// serialized against every delivery and grant, so the number of
+    /// messages a lingering node serves before it concludes is a pure
+    /// function of the program. With a deadline as well (the exit fan's
+    /// wait), the timer stays live while a watched peer can still be
+    /// reached and is cancelled the moment it is gone.
+    pub fn park(&self, node: usize, seen_deliveries: u64, until: Until, floor: Ns) -> WakeReason {
         let floor = self.floor(floor);
         let mut s = self.state.lock().unwrap();
         if s.nodes[node].deliveries != seen_deliveries {
             // A delivery raced our drain; don't sleep on a stale view.
             return WakeReason::Delivered;
         }
-        if let Some(w) = watch {
+        if let Some(w) = until.watch {
             if w.iter().all(|&x| matches!(s.nodes[x].st, St::Done)) {
                 return WakeReason::PeersDone;
             }
         }
-        let deadline = deadline.map(|t| {
+        let deadline = until.deadline.map(|t| {
             let seq = s.nodes[node].next_seq();
             Key { t, node, seq }
         });
         s.nodes[node].st = St::Parked {
             deadline,
             floor,
-            watch: watch.map(|w| w.to_vec()),
+            watch: until.watch.map(|w| w.to_vec()),
         };
         self.dispatch(&mut s);
         drop(s);
@@ -637,9 +630,9 @@ impl LockstepSched {
                 return true;
             }
         }
-        match self.park(node, seen_deliveries, Some(t), floor) {
+        match self.park(node, seen_deliveries, Until::deadline(t), floor) {
             WakeReason::Delivered => false,
-            WakeReason::PeersDone => unreachable!("plain parks carry no done-watch"),
+            WakeReason::PeersDone => unreachable!("no watch set"),
             WakeReason::Timeout => {
                 let mut s = self.state.lock().unwrap();
                 let la = s.nodes[node].lookahead;
@@ -972,13 +965,15 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
+    fn watching(w: &[usize]) -> Until<'_> {
+        Until {
+            deadline: None,
+            watch: Some(w),
+        }
+    }
+
     #[test]
-    fn token_mode_parses() {
-        assert_eq!(TokenMode::parse("single"), Some(TokenMode::Single));
-        assert_eq!(TokenMode::parse("per-receiver"), Some(TokenMode::PerReceiver));
-        assert_eq!(TokenMode::parse("PER_RECEIVER"), Some(TokenMode::PerReceiver));
-        assert_eq!(TokenMode::parse(""), Some(TokenMode::PerReceiver));
-        assert_eq!(TokenMode::parse("bogus"), None);
+    fn token_mode_defaults_to_per_receiver() {
         assert_eq!(TokenMode::default(), TokenMode::PerReceiver);
     }
 
@@ -997,7 +992,7 @@ mod tests {
                     let sched = Arc::clone(&sched);
                     handles.push(thread::spawn(move || {
                         let seen = sched.delivery_count(2);
-                        sched.park(2, seen, None, Ns(0));
+                        sched.park(2, seen, Until::FOREVER, Ns(0));
                         // A woken node keeps its (here: zero) floor until it
                         // commits to its next fabric action; committing is
                         // what unblocks later-keyed grants.
@@ -1106,7 +1101,7 @@ mod tests {
             let sched = Arc::clone(&sched);
             handles.push(thread::spawn(move || {
                 let seen = sched.delivery_count(3);
-                sched.park(3, seen, None, Ns(0));
+                sched.park(3, seen, Until::FOREVER, Ns(0));
                 sched.mark_done(3);
             }));
         }
@@ -1154,7 +1149,7 @@ mod tests {
         let s2 = Arc::clone(&sched);
         let t = thread::spawn(move || {
             let seen = s2.delivery_count(1);
-            s2.park(1, seen, Some(Ns(5_000)), Ns(100))
+            s2.park(1, seen, Until::deadline(Ns(5_000)), Ns(100))
         });
         // Node 0 finishing leaves node 1's deadline as the only event.
         sched.mark_done(0);
@@ -1170,7 +1165,7 @@ mod tests {
         let mut s = sched.state.lock().unwrap();
         sched.deliver_locked(&mut s, 1, Ns(42));
         drop(s);
-        assert_eq!(sched.park(1, seen, None, Ns(0)), WakeReason::Delivered);
+        assert_eq!(sched.park(1, seen, Until::FOREVER, Ns(0)), WakeReason::Delivered);
     }
 
     #[test]
@@ -1241,7 +1236,7 @@ mod tests {
         let s2 = Arc::clone(&sched);
         let t = thread::spawn(move || {
             let seen = s2.delivery_count(0);
-            s2.park_done_watch(0, &[1, 2], seen, Ns(100))
+            s2.park(0, seen, watching(&[1, 2]), Ns(100))
         });
         sched.mark_done(1);
         // One peer alive: the watcher must still be parked; give the
@@ -1252,7 +1247,7 @@ mod tests {
         // Already-drained watch sets settle inline.
         let seen = sched.delivery_count(0);
         assert_eq!(
-            sched.park_done_watch(0, &[1, 2], seen, Ns(100)),
+            sched.park(0, seen, watching(&[1, 2]), Ns(100)),
             WakeReason::PeersDone
         );
     }
@@ -1267,7 +1262,7 @@ mod tests {
         sched.deliver_locked(&mut s, 0, Ns(42));
         drop(s);
         assert_eq!(
-            sched.park_done_watch(0, &[1], seen, Ns(0)),
+            sched.park(0, seen, watching(&[1]), Ns(0)),
             WakeReason::Delivered
         );
     }
@@ -1286,7 +1281,15 @@ mod tests {
         let s2 = Arc::clone(&sched);
         let t = thread::spawn(move || {
             let seen = s2.delivery_count(1);
-            s2.park_deadline_done_watch(1, &[0], seen, Ns(5_000), Ns(100))
+            s2.park(
+                1,
+                seen,
+                Until {
+                    deadline: Some(Ns(5_000)),
+                    watch: Some(&[0]),
+                },
+                Ns(100),
+            )
         });
         assert_eq!(t.join().unwrap(), WakeReason::Timeout);
 
@@ -1296,7 +1299,15 @@ mod tests {
         let s2 = Arc::clone(&sched);
         let t = thread::spawn(move || {
             let seen = s2.delivery_count(1);
-            s2.park_deadline_done_watch(1, &[0], seen, Ns(5_000), Ns(100))
+            s2.park(
+                1,
+                seen,
+                Until {
+                    deadline: Some(Ns(5_000)),
+                    watch: Some(&[0]),
+                },
+                Ns(100),
+            )
         });
         thread::sleep(std::time::Duration::from_millis(5));
         sched.mark_done(0);
@@ -1320,7 +1331,7 @@ mod tests {
         sched.finish_transmit(0, 1, Ns(11_000));
         assert_eq!(sched.delivery_count(1), seen + 1);
         // The delivery is already counted, so node 1's park bounces.
-        assert_eq!(sched.park(1, seen, None, Ns(0)), WakeReason::Delivered);
+        assert_eq!(sched.park(1, seen, Until::FOREVER, Ns(0)), WakeReason::Delivered);
     }
 
     /// A driven deadline wait on an empty inbox times out at once: the
@@ -1331,7 +1342,7 @@ mod tests {
     fn driven_deadline_wait_times_out_at_once() {
         let sched = LockstepSched::new_driven(2, TokenMode::default());
         let seen = sched.delivery_count(1);
-        let r = sched.park(1, seen, Some(Ns::from_ms(3)), Ns(0));
+        let r = sched.park(1, seen, Until::deadline(Ns::from_ms(3)), Ns(0));
         assert_eq!(r, WakeReason::Timeout);
         // The woken node is running again: its next transmit still grants.
         sched.request_transmit(1, 0, Ns::from_ms(3), Ns(0));
@@ -1344,6 +1355,6 @@ mod tests {
         let sched = Arc::new(LockstepSched::new(2));
         sched.mark_done(0);
         let seen = sched.delivery_count(1);
-        sched.park(1, seen, None, Ns(0));
+        sched.park(1, seen, Until::FOREVER, Ns(0));
     }
 }

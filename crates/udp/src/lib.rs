@@ -17,4 +17,4 @@
 
 pub mod socket;
 
-pub use socket::{Datagram, RecvOutcome, UdpStack, SOCKET_PORT_BASE};
+pub use socket::{Datagram, UdpStack, SOCKET_PORT_BASE};

@@ -15,9 +15,9 @@ use std::sync::Arc;
 use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tm_myrinet::{DeadlineWatchRecv, NicHandle, NodeId, RawPacket};
+use tm_myrinet::{NicHandle, NodeId, RawPacket};
 use tm_sim::faults::checksum32;
-use tm_sim::{Ns, SharedClock, SimParams};
+use tm_sim::{Ns, SharedClock, SimParams, Until, Wait};
 
 /// Sockets live above the GM port namespace on the shared fabric.
 pub const SOCKET_PORT_BASE: u16 = 1024;
@@ -43,19 +43,6 @@ pub struct Datagram {
     /// use it purely as a virtual-time wake signal. Zero-fault runs never
     /// see one.
     pub lost: bool,
-}
-
-/// Outcome of a deadline-bounded receive that also watches for peer
-/// departure (see
-/// [`recv_any_timeout_watching`](UdpStack::recv_any_timeout_watching)).
-#[derive(Debug)]
-pub enum RecvOutcome {
-    /// A datagram became ready on one of the selected ports.
-    Datagram((u16, Datagram)),
-    /// The virtual deadline passed first; the clock has advanced to it.
-    Timeout,
-    /// Every watched peer deregistered its NIC first.
-    PeersDone,
 }
 
 struct SocketState {
@@ -502,117 +489,46 @@ impl UdpStack {
 
     /// Blocking `recvfrom()` on one port.
     pub fn recvfrom(&mut self, port: u16) -> Datagram {
-        self.recv_any(&[port]).1
+        let (_, d) = self.recv(&[port], Until::FOREVER).got().expect("unbounded wait");
+        d
     }
 
-    /// `select()` + `recvfrom()`: block until a datagram is available on
-    /// any of `ports`. Charges the select syscall and a scheduler wakeup
-    /// if the process actually slept.
-    pub fn recv_any(&mut self, ports: &[u16]) -> (u16, Datagram) {
+    /// `select()` + `recvfrom()`: block until a datagram is ready on any
+    /// of `ports`, until `until`'s *virtual* deadline (the DSM
+    /// retransmission timer — determinism requires it to be a lockstep
+    /// scheduler event), or until every node in its watch set has
+    /// deregistered its NIC (the shutdown linger and the exit fan: a
+    /// timer armed against a peer that already left must cancel rather
+    /// than fire into a dead node). Charges one select syscall, and a
+    /// scheduler wakeup if the process actually slept. A datagram queued
+    /// but ready only after the deadline means [`Wait::Timeout`] and
+    /// stays queued; on timeout the clock advances to the deadline.
+    pub fn recv(&mut self, ports: &[u16], until: Until) -> Wait<(u16, Datagram)> {
         self.clock.borrow_mut().advance(self.params.host.syscall); // select()
         loop {
-            if let Some((port, _)) = self.earliest_queued(ports) {
-                return self.pop_ready(port);
+            if let Some((port, ready)) = self.earliest_queued(ports) {
+                if until.admits(ready) {
+                    return Wait::Got(self.pop_ready(port));
+                }
+                // Something is queued but lands after the deadline: the
+                // timer fires first.
+                return self.time_out(until);
             }
             // Park on the scheduler until something arrives for us.
             let filter: Vec<u16> = ports.iter().map(|p| SOCKET_PORT_BASE + p).collect();
             let floor = self.sched_floor();
-            let pkt = self.nic.recv_any_floored(&filter, floor);
-            self.admit(pkt);
-        }
-    }
-
-    /// Like [`recv_any`](UdpStack::recv_any) but bounded by a *virtual*
-    /// deadline: returns `None` (with the clock advanced to `deadline`)
-    /// if no datagram becomes ready by then. This is what the DSM's
-    /// retransmission timer runs on — determinism requires the timeout to
-    /// be virtual: the deadline is a lockstep scheduler event.
-    pub fn recv_any_timeout(&mut self, ports: &[u16], deadline: Ns) -> Option<(u16, Datagram)> {
-        self.clock.borrow_mut().advance(self.params.host.syscall); // select()
-        loop {
-            if let Some((port, ready)) = self.earliest_queued(ports) {
-                if ready <= deadline {
-                    return Some(self.pop_ready(port));
-                }
-                // Something is queued but lands after the deadline: the
-                // timer fires first.
-                self.clock.borrow_mut().wait_until(deadline);
-                return None;
-            }
-            let filter: Vec<u16> = ports.iter().map(|p| SOCKET_PORT_BASE + p).collect();
-            let floor = self.sched_floor();
-            match self.nic.recv_any_deadline(&filter, deadline, floor) {
-                Some(pkt) => self.admit(pkt),
-                None => {
-                    self.clock.borrow_mut().wait_until(deadline);
-                    return None;
-                }
+            match self.nic.recv(&filter, until, floor) {
+                Wait::Got(pkt) => self.admit(pkt),
+                Wait::Timeout => return self.time_out(until),
+                Wait::PeersDone => return Wait::PeersDone,
             }
         }
     }
 
-    /// [`recv_any_timeout`](UdpStack::recv_any_timeout) that additionally
-    /// resolves when every node in `watch` has deregistered its NIC. The
-    /// exit fan's retransmission timer runs on this: a timeout armed
-    /// against a peer that already left the fabric must cancel rather
-    /// than fire into a dead node. The three-way race (datagram /
-    /// deadline / peers-done) is resolved by the scheduler in virtual
-    /// time.
-    pub fn recv_any_timeout_watching(
-        &mut self,
-        ports: &[u16],
-        watch: &[usize],
-        deadline: Ns,
-    ) -> RecvOutcome {
-        self.clock.borrow_mut().advance(self.params.host.syscall); // select()
-        loop {
-            if let Some((port, ready)) = self.earliest_queued(ports) {
-                if ready <= deadline {
-                    return RecvOutcome::Datagram(self.pop_ready(port));
-                }
-                self.clock.borrow_mut().wait_until(deadline);
-                return RecvOutcome::Timeout;
-            }
-            let filter: Vec<u16> = ports.iter().map(|p| SOCKET_PORT_BASE + p).collect();
-            let floor = self.sched_floor();
-            match self
-                .nic
-                .recv_any_deadline_done_watch(&filter, watch, deadline, floor)
-            {
-                DeadlineWatchRecv::Pkt(pkt) => self.admit(pkt),
-                DeadlineWatchRecv::Timeout => {
-                    self.clock.borrow_mut().wait_until(deadline);
-                    return RecvOutcome::Timeout;
-                }
-                DeadlineWatchRecv::PeersDone => return RecvOutcome::PeersDone,
-            }
-        }
-    }
-
-    /// Shutdown-linger receive: block until a datagram is
-    /// ready on any of `ports` or every node in `watch` has deregistered
-    /// its NIC — the latter returns `None` and is the deterministic
-    /// "all peers exited" signal (NIC deregistration is a scheduler
-    /// `Done` event; no wall-clock liveness flag is read, so the set of
-    /// late datagrams served before `None` is a pure function of the
-    /// program).
-    pub fn recv_any_or_dead(
-        &mut self,
-        ports: &[u16],
-        watch: &[usize],
-    ) -> Option<(u16, Datagram)> {
-        self.clock.borrow_mut().advance(self.params.host.syscall); // select()
-        loop {
-            if let Some((port, _)) = self.earliest_queued(ports) {
-                return Some(self.pop_ready(port));
-            }
-            let filter: Vec<u16> = ports.iter().map(|p| SOCKET_PORT_BASE + p).collect();
-            let floor = self.sched_floor();
-            match self.nic.recv_any_done_watch(&filter, watch, floor) {
-                Some(pkt) => self.admit(pkt),
-                None => return None,
-            }
-        }
+    fn time_out<T>(&mut self, until: Until) -> Wait<T> {
+        let deadline = until.deadline.expect("only a deadline times out");
+        self.clock.borrow_mut().wait_until(deadline);
+        Wait::Timeout
     }
 
     /// Does any bound SIGIO socket have traffic (regardless of virtual
@@ -641,6 +557,10 @@ mod tests {
     use tm_myrinet::Fabric;
     use tm_sim::clock::shared_clock;
     use tm_sim::FaultPlan;
+
+    fn recv_forever(s: &mut UdpStack, ports: &[u16]) -> (u16, Datagram) {
+        s.recv(ports, Until::FOREVER).got().expect("a datagram")
+    }
 
     fn stacks(n: usize) -> Vec<UdpStack> {
         stacks_with(n, SimParams::paper_testbed())
@@ -696,7 +616,7 @@ mod tests {
         b.bind(3, false);
         a.sendto(1, 2, 1, b"first");
         a.sendto(1, 3, 1, b"second");
-        let (port, d) = b.recv_any(&[2, 3]);
+        let (port, d) = recv_forever(&mut b, &[2, 3]);
         assert_eq!(port, 2);
         assert_eq!(&d.data[..], b"first");
     }
@@ -736,8 +656,8 @@ mod tests {
         a.bind(1, false);
         b.bind(2, false);
         assert!(!a.sendto(1, 2, 1, b"doomed"));
-        // The receiver still wakes: recv_any surfaces the tombstone.
-        let (port, d) = b.recv_any(&[2]);
+        // The receiver still wakes: recv surfaces the tombstone.
+        let (port, d) = recv_forever(&mut b, &[2]);
         assert_eq!(port, 2);
         assert!(d.lost);
         // But the polled path never shows it.
@@ -761,8 +681,8 @@ mod tests {
         b.bind(2, false);
         assert!(a.sendto(1, 2, 1, b"twice"));
         assert_eq!(a.clock().borrow().stats.dgrams_duplicated, 1);
-        let (_, d1) = b.recv_any(&[2]);
-        let (_, d2) = b.recv_any(&[2]);
+        let (_, d1) = recv_forever(&mut b, &[2]);
+        let (_, d2) = recv_forever(&mut b, &[2]);
         assert_eq!(&d1.data[..], b"twice");
         assert_eq!(&d2.data[..], b"twice");
     }
@@ -784,7 +704,7 @@ mod tests {
         b.bind(2, false);
         assert!(a.sendto(1, 2, 1, b"garbled"));
         assert_eq!(a.clock().borrow().stats.dgrams_corrupted, 1);
-        let (_, d) = b.recv_any(&[2]);
+        let (_, d) = recv_forever(&mut b, &[2]);
         assert!(d.lost, "CRC reject must become a tombstone");
         assert_eq!(b.clock().borrow().stats.crc_rejected, 1);
     }
@@ -812,7 +732,7 @@ mod tests {
         let mut clean = 0;
         for _ in 0..20 {
             a.sendto(1, 2, 1, b"payload");
-            let (_, d) = b.recv_any(&[2]);
+            let (_, d) = recv_forever(&mut b, &[2]);
             if !d.lost {
                 // Trailer must be stripped before delivery.
                 assert_eq!(&d.data[..], b"payload");
@@ -856,8 +776,8 @@ mod tests {
         let mut b = s.pop().unwrap();
         b.bind(2, false);
         let deadline = b.clock().borrow().now() + Ns::from_us(500);
-        let got = b.recv_any_timeout(&[2], deadline);
-        assert!(got.is_none());
+        let got = b.recv(&[2], Until::deadline(deadline));
+        assert!(matches!(got, Wait::Timeout));
         // The virtual clock advanced exactly to the deadline.
         assert_eq!(b.clock().borrow().now(), deadline);
     }
@@ -872,10 +792,13 @@ mod tests {
         a.sendto(1, 2, 1, b"late");
         // The datagram is ready ~tens of µs in; deadline far earlier.
         let deadline = b.clock().borrow().now() + Ns(10);
-        let got = b.recv_any_timeout(&[2], deadline);
-        assert!(got.is_none(), "timer must fire before the late datagram");
+        let got = b.recv(&[2], Until::deadline(deadline));
+        assert!(
+            matches!(got, Wait::Timeout),
+            "timer must fire before the late datagram"
+        );
         // The datagram is still there for a later receive.
-        let (_, d) = b.recv_any(&[2]);
+        let (_, d) = recv_forever(&mut b, &[2]);
         assert_eq!(&d.data[..], b"late");
     }
 

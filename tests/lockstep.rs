@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
-use tm_sim::{FaultPlan, Ns, SimParams, TokenMode};
+use tm_sim::{FaultPlan, Ns, SimParams, TokenMode, Until};
 use tmk::{Substrate, Tmk, TmkConfig};
 
 const NODES: usize = 4;
@@ -306,7 +306,7 @@ fn per_receiver_tokens_overlap_disjoint_receivers_at_128_nodes() {
                 None,
                 Ns::from_secs(3600),
             );
-            let pkt = nic.recv_blocking();
+            let pkt = nic.recv(&[0], Until::FOREVER, Ns::ZERO).got().expect("a packet");
             assert_eq!(pkt.src, (i + N - 1) % N, "ring delivery broke");
         }));
     }
