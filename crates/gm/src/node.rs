@@ -538,6 +538,8 @@ impl GmNode {
     /// `(port, event)`.
     pub fn blocking_receive(&mut self, ports: &[u8]) -> (u8, GmEvent) {
         loop {
+            // Delivery signature before the drain, as in `receive`.
+            let sig = self.nic.delivery_signature();
             self.absorb_failures_all(ports);
             self.sort_arrivals();
             // Earliest ready packet across the requested ports.
@@ -552,6 +554,13 @@ impl GmNode {
                 }
             }
             if let Some((port, arrival)) = best {
+                // A packet with an earlier arrival may be granted but not
+                // yet pushed (a large packet injected first, a small one
+                // right after): wait until `arrival` is our next event,
+                // and pick again if a delivery lands first.
+                if !self.nic.settle(arrival, sig, self.sched_floor()) {
+                    continue;
+                }
                 let gm_hit = self.params.gm.recv_poll_hit;
                 let p = self.ports[port as usize].as_mut().expect("open");
                 let pkt = p.ready.pop_front().expect("non-empty");

@@ -78,6 +78,16 @@ impl NicHandle {
         self.fabric.sched().poll_quiesce(self.node, t, seen, floor)
     }
 
+    /// Settle a pick: park until virtual time `t` is this node's next
+    /// event, so every packet with arrival ≤ `t` has been pushed. Returns
+    /// `false` if a delivery raced in first (the caller must re-drain and
+    /// pick again). Unlike [`NicHandle::poll_quiesce`] it leaves the
+    /// node's floor at `floor`. `seen` as for `poll_quiesce`.
+    pub fn settle(&self, t: Ns, seen: u64, floor: Ns) -> bool {
+        let sched = self.fabric.sched();
+        sched.park(self.node, seen, Until::deadline(t), floor) == WakeReason::Timeout
+    }
+
     /// Inject a packet from this node (sender side). Thin forwarding to
     /// [`Fabric::transmit`]; cost accounting is the caller's business.
     /// The sender's post-transmit lockstep floor defaults to the

@@ -319,3 +319,48 @@ fn per_receiver_tokens_overlap_disjoint_receivers_at_128_nodes() {
         "disjoint receivers never overlapped: max concurrent grants = {grants}"
     );
 }
+
+/// `bench_lockstep`'s 4-writer diff storm: every writer dirties a word of
+/// each of 64 pages, then the last node faults them all back in with one
+/// `read_bytes`. Returns that read's modeled cost.
+fn diff_storm_read_ns() -> u64 {
+    const PAGES: usize = 64;
+    const WRITERS: usize = 4;
+    let body = |tmk: &mut Tmk<_>| {
+        let region = tmk.malloc(PAGES * 4096);
+        let me = tmk.proc_id();
+        for p in 0..PAGES {
+            let _ = tmk.get_u32(region, p * 1024);
+        }
+        tmk.barrier(0);
+        if me < WRITERS {
+            for p in 0..PAGES {
+                tmk.set_u32(region, p * 1024 + me * 16, 1 + me as u32);
+            }
+        }
+        tmk.barrier(1);
+        let mut cost = 0;
+        if me == WRITERS {
+            let mut buf = vec![0u8; PAGES * 4096];
+            let t0 = tmk.clock().borrow().now();
+            tmk.read_bytes(region, 0, &mut buf);
+            cost = (tmk.clock().borrow().now() - t0).0;
+        }
+        tmk.barrier(2);
+        cost
+    };
+    let params = params();
+    let cfg = FastConfig::paper(&params);
+    run_fast_dsm(WRITERS + 1, params, cfg, TmkConfig::default(), body)[WRITERS].result
+}
+
+/// Regression: FAST's blocking receive once took the earliest packet
+/// already pushed to the node, while a packet with an earlier arrival
+/// could still be granted and pushed after it (a large packet injected
+/// first, a small one right after). Some storms then priced the read
+/// 2.65 µs higher than the rest.
+#[test]
+fn diff_storm_prices_one_modeled_cost() {
+    let costs: std::collections::BTreeSet<u64> = (0..32).map(|_| diff_storm_read_ns()).collect();
+    assert_eq!(costs.len(), 1, "storm reps disagree on the modeled cost: {costs:?}");
+}
