@@ -9,11 +9,9 @@
 //!
 //! - `serial` — one outstanding RPC at a time: k × PAGES round trips,
 //!   paid end to end (the spec baseline);
-//! - `parallel` — the same k × PAGES requests issued before any response
-//!   is collected, so the cost approaches the slowest round trip per
-//!   fault wave;
 //! - `coalesced` — one `MultiDiff` request per writer covering all of
-//!   its pages: k messages total.
+//!   its pages, all issued before any response is collected: k messages
+//!   total, and the cost approaches the slowest round trip.
 //!
 //! All times are *simulated* cluster nanoseconds on FAST/GM (the paper
 //! testbed), so the numbers are deterministic and comparable across
@@ -89,24 +87,19 @@ fn main() {
     let ks = [1usize, 2, 4];
     for (i, &k) in ks.iter().enumerate() {
         let serial = run(k, DiffFetch::Serial);
-        let parallel = run(k, DiffFetch::Parallel);
         let coalesced = run(k, DiffFetch::Coalesced);
         println!(
-            "writers={k}: serial={serial}ns parallel={parallel}ns coalesced={coalesced}ns \
+            "writers={k}: serial={serial}ns coalesced={coalesced}ns \
              (serial/coalesced = {:.2}x)",
             serial as f64 / coalesced.max(1) as f64
         );
         assert!(
-            parallel < serial,
-            "k={k}: parallel ({parallel}) must beat serial ({serial})"
-        );
-        assert!(
-            coalesced <= parallel,
-            "k={k}: coalesced ({coalesced}) must not lose to parallel ({parallel})"
+            coalesced < serial,
+            "k={k}: coalesced ({coalesced}) must beat serial ({serial})"
         );
         let comma = if i + 1 < ks.len() { "," } else { "" };
         json.push_str(&format!(
-            "    {{ \"writers\": {k}, \"serial_ns\": {serial}, \"parallel_ns\": {parallel}, \
+            "    {{ \"writers\": {k}, \"serial_ns\": {serial}, \
              \"coalesced_ns\": {coalesced}, \"serial_over_coalesced\": {:.2} }}{comma}\n",
             serial as f64 / coalesced.max(1) as f64
         ));

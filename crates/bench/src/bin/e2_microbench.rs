@@ -88,12 +88,10 @@ fn barrier_algo() -> BarrierAlgo {
 }
 
 /// Diff-fetch engine under test, from `E2_DIFF_FETCH`: `coalesced` (the
-/// default), `parallel`, or `serial` (the one-outstanding-RPC spec
-/// baseline).
+/// default) or `serial` (the one-outstanding-RPC spec baseline).
 fn diff_fetch() -> DiffFetch {
     match std::env::var("E2_DIFF_FETCH").ok().as_deref() {
         None | Some("") | Some("coalesced") => DiffFetch::Coalesced,
-        Some("parallel") => DiffFetch::Parallel,
         Some("serial") => DiffFetch::Serial,
         Some(other) => panic!("unknown E2_DIFF_FETCH engine {other:?}"),
     }
@@ -462,7 +460,7 @@ fn main() {
     println!();
     println!("paper factors: Barrier ~2.5x, Lock ~3-4x, Page ~6.2x, Diff comparable");
 
-    // Smoke assertions for CI (`E2_SMOKE`): the overlapped engines must
+    // Smoke assertions for CI (`E2_SMOKE`): the coalesced engine must
     // beat the serial spec baseline on the 4-writer diff fetch, and the
     // 4-writer fault must scale sub-linearly (< 2x the 1-writer cost)
     // under overlap. Runs FAST/GM only; prints the numbers it compared.
@@ -478,17 +476,12 @@ fn main() {
             out[n - 1].result
         };
         let serial = run(5, DiffFetch::Serial);
-        let parallel = run(5, DiffFetch::Parallel);
         let coalesced = run(5, DiffFetch::Coalesced);
         let k1 = run(2, DiffFetch::Coalesced);
         println!();
         println!(
             "e2-smoke: 4-writer diff fetch (FAST, ns/page): \
-             serial={serial} parallel={parallel} coalesced={coalesced} 1-writer={k1}"
-        );
-        assert!(
-            parallel < serial,
-            "parallel diff fetch ({parallel}) must beat serial ({serial})"
+             serial={serial} coalesced={coalesced} 1-writer={k1}"
         );
         assert!(
             coalesced < serial,

@@ -617,8 +617,8 @@ impl<S: Substrate> Tmk<S> {
     /// blocked), so each round re-derives what is pending but not yet
     /// collected across *all* pages, then dispatches per
     /// [`DiffFetch`]: serially (one blocking RPC per writer per page, the
-    /// spec baseline), in parallel (issue everything, then collect), or
-    /// coalesced (at most one request per writer per round).
+    /// spec baseline) or coalesced (at most one request per writer per
+    /// round, all issued before any is collected).
     fn fetch_diffs_batch(&mut self, pids: &[PageId]) {
         let mut states: Vec<PageFetchState> = pids
             .iter()
@@ -672,21 +672,6 @@ impl<S: Substrate> Tmk<S> {
                                 self.rpc(writer as usize, Request::Diff { page: pid, lo, hi });
                             self.handle_fetch_response(&mut states, writer, resp);
                         }
-                    }
-                }
-                DiffFetch::Parallel => {
-                    let mut issued: Vec<(u32, u16)> = Vec::new();
-                    for (writer, pages) in &need {
-                        for &(pid, lo, hi) in pages {
-                            let rid = self
-                                .rpc_issue(*writer as usize, Request::Diff { page: pid, lo, hi });
-                            issued.push((rid, *writer));
-                        }
-                    }
-                    self.note_fanout(need.len(), issued.len());
-                    for (rid, writer) in issued {
-                        let resp = self.rpc_collect(rid);
-                        self.handle_fetch_response(&mut states, writer, resp);
                     }
                 }
                 DiffFetch::Coalesced => {
