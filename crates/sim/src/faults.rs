@@ -28,8 +28,9 @@ use crate::time::Ns;
 pub struct FaultPlan {
     /// Base seed; mixed with the node id and a per-consumer salt.
     pub seed: u64,
-    /// Probability an injected datagram is dropped in flight (beyond the
-    /// legacy `udp.drop_probability`, which predates this plan).
+    /// Probability a datagram is dropped in flight (UDP is unreliable;
+    /// the paper could not even measure UDP/GM bandwidth because of
+    /// this). Timing runs keep it at 0.
     pub drop_probability: f64,
     /// Probability a datagram is delivered twice.
     pub duplicate_probability: f64,

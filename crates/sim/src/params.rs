@@ -142,10 +142,6 @@ pub struct UdpParams {
     pub mtu: usize,
     /// Per-fragment kernel bookkeeping beyond the first.
     pub per_fragment: Ns,
-    /// Probability an entire datagram is dropped (UDP is unreliable; the
-    /// paper could not even measure UDP/GM bandwidth because of this).
-    /// Timing runs default to 0.
-    pub drop_probability: f64,
     /// Initial DSM retransmission timeout (virtual time). Only consulted
     /// when the run is lossy; a zero-fault run never arms the timer.
     /// Stock TreadMarks used a comparable per-request UDP timeout.
@@ -164,7 +160,6 @@ impl Default for UdpParams {
             rx_interrupt: Ns(8_000),
             mtu: 1_500,
             per_fragment: Ns(2_000),
-            drop_probability: 0.0,
             rto: Ns::from_us(400),
             rto_retries: 12,
         }

@@ -37,7 +37,7 @@ pub struct NodeStats {
     /// Barrier episodes participated in.
     pub barriers: u64,
     // --- fault & reliability counters ---------------------------------
-    /// Datagrams lost in flight (injected drops + legacy drop_probability).
+    /// Datagrams lost in flight (the fault plan's drops).
     pub dgrams_dropped: u64,
     /// Datagrams delivered twice by the fault plan.
     pub dgrams_duplicated: u64,

@@ -59,14 +59,13 @@ pub struct UdpStack {
     clock: SharedClock,
     params: Arc<SimParams>,
     sockets: Vec<SocketState>,
-    rng: SmallRng,
     /// Fault-plan stream; `Some` only when the plan injects datagram
     /// faults, so zero-fault runs draw nothing and stay bit-identical.
     fault_rng: Option<SmallRng>,
     /// Receive-buffer depth (the fault plan can shrink it to force
     /// overflow pressure).
     sockbuf: usize,
-    /// Datagrams dropped (loss model + buffer overflow).
+    /// Datagrams dropped (fault-plan drops + buffer overflow).
     pub drops: u64,
     /// Lockstep lookahead: minimum modeled cost between the start of this
     /// node's preemptible window and its next packet reaching the wire.
@@ -80,7 +79,6 @@ pub struct UdpStack {
 
 impl UdpStack {
     pub fn new(nic: NicHandle, clock: SharedClock, params: Arc<SimParams>) -> Self {
-        let seed = 0x7ead_a55e_u64 ^ (nic.node() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let f = &params.faults;
         let fault_rng = if f.drop_probability > 0.0
             || f.duplicate_probability > 0.0
@@ -109,7 +107,6 @@ impl UdpStack {
             clock,
             params,
             sockets: Vec::new(),
-            rng: SmallRng::seed_from_u64(seed),
             fault_rng,
             sockbuf,
             drops: 0,
@@ -209,8 +206,7 @@ impl UdpStack {
         self.push_wire(dst, dst_port, src_port, data, inject)
     }
 
-    /// Put one datagram on the wire, applying the loss model and the
-    /// fault plan. Returns `false` when the datagram was dropped.
+    /// Put one datagram on the wire, applying the fault plan. Returns `false` when the datagram was dropped.
     fn push_wire(
         &mut self,
         dst: NodeId,
@@ -221,8 +217,7 @@ impl UdpStack {
     ) -> bool {
         let sp = SOCKET_PORT_BASE + src_port;
         let dp = SOCKET_PORT_BASE + dst_port;
-        let legacy_p = self.params.udp.drop_probability;
-        if self.fault_rng.is_none() && legacy_p == 0.0 {
+        if self.fault_rng.is_none() {
             // Clean fast path: bit-identical to the pre-fault stack.
             let floor = self.sched_floor();
             self.nic.inject_floored(
@@ -243,14 +238,12 @@ impl UdpStack {
         if f.checksum_frames() {
             buf.extend_from_slice(&checksum32(data).to_le_bytes());
         }
-        // Loss: the legacy knob draws from the legacy stream (unchanged
-        // sequence), the plan from its own. Both leave a tombstone so the
-        // receiver still wakes at the would-be arrival.
-        let mut dropped = legacy_p > 0.0 && self.rng.random::<f64>() < legacy_p;
-        if !dropped && f.drop_probability > 0.0 {
+        // Loss leaves a tombstone so the receiver still wakes at the
+        // would-be arrival.
+        let dropped = f.drop_probability > 0.0 && {
             let r = self.fault_rng.as_mut().expect("fault rng");
-            dropped = r.random::<f64>() < f.drop_probability;
-        }
+            r.random::<f64>() < f.drop_probability
+        };
         if dropped {
             self.drops += 1;
             self.clock.borrow_mut().stats.dgrams_dropped += 1;
@@ -625,7 +618,10 @@ mod tests {
     fn drop_probability_loses_datagrams() {
         let params = {
             let mut p = SimParams::paper_testbed();
-            p.udp.drop_probability = 1.0;
+            p.faults = FaultPlan {
+                drop_probability: 1.0,
+                ..FaultPlan::default()
+            };
             p
         };
         let mut s = stacks_with(2, params);

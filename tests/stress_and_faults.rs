@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use tm_fast::{run_fast_dsm, run_udp_dsm, FastConfig};
 use tm_gm::{gm_cluster_driven, gm_size, DmaPool, GmError, GmNode};
 use tm_sim::clock::shared_clock;
-use tm_sim::{Ns, SimParams};
+use tm_sim::{FaultPlan, Ns, SimParams};
 use tmk::memsub::run_mem_dsm;
 use tmk::TmkConfig;
 
@@ -132,7 +132,10 @@ fn gm_buffer_exhaustion_disables_and_recovers() {
 #[test]
 fn udp_loss_model_loses() {
     let mut p = SimParams::paper_testbed();
-    p.udp.drop_probability = 0.5;
+    p.faults = FaultPlan {
+        drop_probability: 0.5,
+        ..FaultPlan::default()
+    };
     let p = Arc::new(p);
     let (_f, mut nics) = tm_myrinet::Fabric::new_driven(2, Arc::clone(&p));
     let mut b = tm_udp::UdpStack::new(nics.pop().unwrap(), shared_clock(), Arc::clone(&p));
