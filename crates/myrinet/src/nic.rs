@@ -238,19 +238,18 @@ impl NicHandle {
         best.map(|(i, _)| i)
     }
 
-    /// Pop the earliest-arriving packet queued on `ports` if it arrives
-    /// by `until`'s deadline. `Err(true)` means a packet is queued but
-    /// lands after the deadline (it stays queued); `Err(false)` means
-    /// nothing is queued.
-    fn pop_by(&mut self, ports: &[u16], until: Until) -> Result<RawPacket, bool> {
+    /// The earliest-arriving packet queued on `ports`, popped if it
+    /// arrives by `until`'s deadline: `Got` it, `Timeout` when it lands
+    /// after the deadline (it stays queued), `None` when nothing is queued.
+    fn pop_by(&mut self, ports: &[u16], until: Until) -> Option<Wait<RawPacket>> {
         self.drain();
-        let i = self.best_queued_idx(ports).ok_or(false)?;
+        let i = self.best_queued_idx(ports)?;
         let q = &mut self.queues[i].1;
-        if until.admits(q.front().expect("non-empty").arrival) {
-            Ok(q.pop_front().expect("non-empty"))
+        Some(if until.admits(q.front().expect("non-empty").arrival) {
+            Wait::Got(q.pop_front().expect("non-empty"))
         } else {
-            Err(true)
-        }
+            Wait::Timeout
+        })
     }
 
     /// Block until a packet is queued on any of `ports`, `until`'s
@@ -276,21 +275,16 @@ impl NicHandle {
             // signature mismatch makes the park bounce back immediately
             // instead of sleeping through the wakeup.
             let sig = sched.delivery_count(self.node);
-            match self.pop_by(ports, until) {
-                Ok(pkt) => return Wait::Got(pkt),
-                // The next event for this node is already past the
-                // deadline: the timeout fires first, deterministically.
-                Err(true) => return Wait::Timeout,
-                Err(false) => {}
+            // A queued packet past the deadline means the timeout fires
+            // first, deterministically.
+            if let Some(w) = self.pop_by(ports, until) {
+                return w;
             }
             match sched.park(self.node, sig, until, floor) {
                 WakeReason::Delivered => {}
-                WakeReason::Timeout => {
-                    return self.pop_by(ports, until).map_or(Wait::Timeout, Wait::Got);
-                }
+                WakeReason::Timeout => return self.pop_by(ports, until).unwrap_or(Wait::Timeout),
                 WakeReason::PeersDone => {
-                    let last = self.pop_by(ports, Until::FOREVER);
-                    return last.map_or(Wait::PeersDone, Wait::Got);
+                    return self.pop_by(ports, Until::FOREVER).unwrap_or(Wait::PeersDone);
                 }
             }
         }
@@ -363,6 +357,53 @@ mod tests {
         thread::sleep(std::time::Duration::from_millis(20));
         f.transmit(0, 1, 0, 3, Bytes::from_static(b"wake"), Ns(0), None);
         assert_eq!(&t.join().unwrap()[..], b"wake");
+    }
+
+    /// A packet arriving at or before the deadline beats it, the tie
+    /// included; an empty inbox on a driven fabric then times out at once.
+    #[test]
+    fn recv_returns_packet_by_deadline() {
+        let (f, mut nics) = pair();
+        let arrival = f.transmit(0, 1, 0, 5, Bytes::from_static(b"x"), Ns(0), None);
+        let got = nics[1].recv(&[5], Until::deadline(arrival), Ns::ZERO);
+        assert_eq!(&got.got().expect("packet at the deadline").payload[..], b"x");
+        let again = nics[1].recv(&[5], Until::deadline(arrival), Ns::ZERO);
+        assert!(matches!(again, Wait::Timeout));
+    }
+
+    /// A packet queued but arriving after the deadline means `Timeout`,
+    /// and it stays queued for the next receive.
+    #[test]
+    fn recv_times_out_before_late_packet() {
+        let (f, mut nics) = pair();
+        let arrival = f.transmit(0, 1, 0, 5, Bytes::from_static(b"late"), Ns(0), None);
+        let got = nics[1].recv(&[5], Until::deadline(arrival - Ns(1)), Ns::ZERO);
+        assert!(matches!(got, Wait::Timeout));
+        assert_eq!(nics[1].queued(5), 1);
+        assert_eq!(&recv_forever(&mut nics[1], &[5]).payload[..], b"late");
+    }
+
+    /// A watched peer that sends and then drops its handle: its last
+    /// packet is handed over first, and only then does the wait report
+    /// `PeersDone` — even with a deadline the packet would miss.
+    #[test]
+    fn recv_hands_over_departed_peer_packet_before_peers_done() {
+        let (f, mut nics) = pair();
+        let arrival = f.transmit(0, 1, 0, 5, Bytes::from_static(b"bye"), Ns(0), None);
+        drop(nics.remove(0));
+        let n1 = &mut nics[0];
+        let watching = Until {
+            deadline: None,
+            watch: Some(&[0]),
+        };
+        let got = n1.recv(&[5], watching, Ns::ZERO);
+        assert_eq!(&got.got().expect("the peer's last packet").payload[..], b"bye");
+        assert!(matches!(n1.recv(&[5], watching, Ns::ZERO), Wait::PeersDone));
+        let with_deadline = Until {
+            deadline: Some(arrival),
+            ..watching
+        };
+        assert!(matches!(n1.recv(&[5], with_deadline, Ns::ZERO), Wait::PeersDone));
     }
 
     #[test]
