@@ -84,8 +84,7 @@ impl NicHandle {
     /// pick again). Unlike [`NicHandle::poll_quiesce`] it leaves the
     /// node's floor at `floor`. `seen` as for `poll_quiesce`.
     pub fn settle(&self, t: Ns, seen: u64, floor: Ns) -> bool {
-        let sched = self.fabric.sched();
-        sched.park(self.node, seen, Until::deadline(t), floor) == WakeReason::Timeout
+        self.fabric.sched().settle(self.node, t, seen, floor)
     }
 
     /// Inject a packet from this node (sender side). Thin forwarding to

@@ -576,6 +576,20 @@ impl LockstepSched {
     ///
     /// `seen_deliveries` and `floor` are as for [`LockstepSched::park`].
     pub fn poll_quiesce(&self, node: usize, t: Ns, seen_deliveries: u64, floor: Ns) -> bool {
+        self.quiesce(node, t, seen_deliveries, floor, true)
+    }
+
+    /// Settle a *blocking pick*: the node is about to take a packet with
+    /// virtual arrival `t`, and must first know that no packet arriving
+    /// earlier can still reach its inbox. Exactly
+    /// [`LockstepSched::poll_quiesce`] except that the floor stays at
+    /// `floor`: the taken packet is about to be served, and its response
+    /// may be priced from before `t`.
+    pub fn settle(&self, node: usize, t: Ns, seen_deliveries: u64, floor: Ns) -> bool {
+        self.quiesce(node, t, seen_deliveries, floor, false)
+    }
+
+    fn quiesce(&self, node: usize, t: Ns, seen_deliveries: u64, floor: Ns, raise: bool) -> bool {
         let floor = self.floor(floor);
         {
             let mut s = self.state.lock().unwrap();
@@ -623,8 +637,8 @@ impl LockstepSched {
                 let la = s.nodes[node].lookahead;
                 if let St::Running { floor: f } = &mut s.nodes[node].st {
                     // Same floor the slow path lands on: the park floor,
-                    // raised by the settled poll's horizon.
-                    *f = floor.max(t + la);
+                    // raised (for a poll) by the settled horizon.
+                    *f = if raise { floor.max(t + la) } else { floor };
                 }
                 self.dispatch(&mut s);
                 return true;
@@ -634,12 +648,14 @@ impl LockstepSched {
             WakeReason::Delivered => false,
             WakeReason::PeersDone => unreachable!("no watch set"),
             WakeReason::Timeout => {
-                let mut s = self.state.lock().unwrap();
-                let la = s.nodes[node].lookahead;
-                if let St::Running { floor } = &mut s.nodes[node].st {
-                    *floor = (*floor).max(t + la);
+                if raise {
+                    let mut s = self.state.lock().unwrap();
+                    let la = s.nodes[node].lookahead;
+                    if let St::Running { floor } = &mut s.nodes[node].st {
+                        *floor = (*floor).max(t + la);
+                    }
+                    self.dispatch(&mut s);
                 }
-                self.dispatch(&mut s);
                 true
             }
         }
