@@ -29,7 +29,10 @@
 //! * `rpc` — request/response plumbing: rid allocation, the blocking
 //!   `rpc` discipline (serve-while-waiting), retransmission timers, the
 //!   `(from, rid)` replay cache, the `serve` dispatcher, shutdown linger.
-//!   Talks only to the [`Substrate`].
+//!   Talks only to the [`Substrate`], and blocks only in its one
+//!   [`Substrate::wait`]: the collect loop arms the retransmission
+//!   deadline (and, on the exit fan, watches the consumer), the linger
+//!   watches the peers that may still retransmit to this node.
 //!
 //! This module holds what the layers share: the [`Tmk`] struct itself,
 //! its configuration, and the [`TmkEvent`] observability seam.

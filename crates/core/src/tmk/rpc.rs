@@ -12,7 +12,9 @@
 //! outstanding set), the `serve` dispatcher that fans incoming requests
 //! out to the coherence and sync layers, and the shutdown linger. This
 //! layer talks only to the [`Substrate`]; it never inspects protocol
-//! payloads beyond the request/response envelope.
+//! payloads beyond the request/response envelope. Its two blocking loops
+//! — [`Tmk::collect`] and [`Tmk::shutdown_linger`] — both wait in
+//! [`Substrate::wait`], differing only in the [`Until`] they pass.
 
 use std::collections::VecDeque;
 
@@ -393,7 +395,8 @@ impl<S: Substrate> Tmk<S> {
     /// rids are parked in their slots, requests go to the async serve
     /// queue and are dispatched in virtual-arrival order between waits.
     pub(super) fn rpc_collect(&mut self, rid: u32) -> Response {
-        self.collect(rid, None).expect("no watched peer")
+        self.collect(rid, None)
+            .expect("only a watched collect ends without a response")
     }
 
     /// The collect loop behind [`Self::rpc_collect`]. With `watch` set

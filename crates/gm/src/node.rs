@@ -554,10 +554,11 @@ impl GmNode {
                 }
             }
             if let Some((port, arrival)) = best {
-                // A packet with an earlier arrival may be granted but not
-                // yet pushed (a large packet injected first, a small one
-                // right after): wait until `arrival` is our next event,
-                // and pick again if a delivery lands first.
+                // Settle the pick before serving it: wait until `arrival`
+                // is our next event (pick again if a delivery lands
+                // first), with the floor at its un-raised value. Without
+                // it the modeled cost of a diff storm varied run to run
+                // (DESIGN.md, "Blocking receives settle too").
                 if !self.nic.settle(arrival, sig, self.sched_floor()) {
                     continue;
                 }
@@ -610,8 +611,8 @@ impl GmNode {
             // for *any* GM port's traffic: directed sends may target
             // other ports.
             let floor = self.sched_floor();
-            let pkt = self.nic.recv(&GM_PORTS, Until::FOREVER, floor);
-            self.accept(pkt.got().expect("unbounded wait"));
+            let pkt = self.nic.recv(&GM_PORTS, Until::FOREVER, floor).got();
+            self.accept(pkt.expect("an unbounded wait ends only with a packet"));
         }
     }
 

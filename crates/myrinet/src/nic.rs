@@ -78,8 +78,9 @@ impl NicHandle {
         self.fabric.sched().poll_quiesce(self.node, t, seen, floor)
     }
 
-    /// Settle a pick: park until virtual time `t` is this node's next
-    /// event, so every packet with arrival ≤ `t` has been pushed. Returns
+    /// Settle a pick at virtual time `t`
+    /// ([`LockstepSched::settle`](tm_sim::LockstepSched::settle)): returns
+    /// `true` once every packet with arrival ≤ `t` has been pushed, or
     /// `false` if a delivery raced in first (the caller must re-drain and
     /// pick again). Unlike [`NicHandle::poll_quiesce`] it leaves the
     /// node's floor at `floor`. `seen` as for `poll_quiesce`.

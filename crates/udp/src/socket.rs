@@ -482,8 +482,8 @@ impl UdpStack {
 
     /// Blocking `recvfrom()` on one port.
     pub fn recvfrom(&mut self, port: u16) -> Datagram {
-        let (_, d) = self.recv(&[port], Until::FOREVER).got().expect("unbounded wait");
-        d
+        let got = self.recv(&[port], Until::FOREVER).got();
+        got.expect("an unbounded wait ends only with a datagram").1
     }
 
     /// `select()` + `recvfrom()`: block until a datagram is ready on any
