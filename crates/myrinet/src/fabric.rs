@@ -302,7 +302,9 @@ mod tests {
     use tm_sim::Until;
 
     fn recv_forever(nic: &mut NicHandle, port: u16) -> RawPacket {
-        nic.recv(&[port], Until::FOREVER, Ns::ZERO).got().expect("a packet")
+        nic.recv(&[port], Until::FOREVER, Ns::ZERO)
+            .got()
+            .expect("a packet")
     }
 
     fn fabric(n: usize) -> (Arc<Fabric>, Vec<NicHandle>) {

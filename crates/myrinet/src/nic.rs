@@ -284,7 +284,9 @@ impl NicHandle {
                 WakeReason::Delivered => {}
                 WakeReason::Timeout => return self.pop_by(ports, until).unwrap_or(Wait::Timeout),
                 WakeReason::PeersDone => {
-                    return self.pop_by(ports, Until::FOREVER).unwrap_or(Wait::PeersDone);
+                    return self
+                        .pop_by(ports, Until::FOREVER)
+                        .unwrap_or(Wait::PeersDone);
                 }
             }
         }
@@ -307,7 +309,9 @@ mod tests {
     }
 
     fn recv_forever(nic: &mut NicHandle, ports: &[u16]) -> RawPacket {
-        nic.recv(ports, Until::FOREVER, Ns::ZERO).got().expect("a packet")
+        nic.recv(ports, Until::FOREVER, Ns::ZERO)
+            .got()
+            .expect("a packet")
     }
 
     #[test]
@@ -366,7 +370,10 @@ mod tests {
         let (f, mut nics) = pair();
         let arrival = f.transmit(0, 1, 0, 5, Bytes::from_static(b"x"), Ns(0), None);
         let got = nics[1].recv(&[5], Until::deadline(arrival), Ns::ZERO);
-        assert_eq!(&got.got().expect("packet at the deadline").payload[..], b"x");
+        assert_eq!(
+            &got.got().expect("packet at the deadline").payload[..],
+            b"x"
+        );
         let again = nics[1].recv(&[5], Until::deadline(arrival), Ns::ZERO);
         assert!(matches!(again, Wait::Timeout));
     }
@@ -397,13 +404,19 @@ mod tests {
             watch: Some(&[0]),
         };
         let got = n1.recv(&[5], watching, Ns::ZERO);
-        assert_eq!(&got.got().expect("the peer's last packet").payload[..], b"bye");
+        assert_eq!(
+            &got.got().expect("the peer's last packet").payload[..],
+            b"bye"
+        );
         assert!(matches!(n1.recv(&[5], watching, Ns::ZERO), Wait::PeersDone));
         let with_deadline = Until {
             deadline: Some(arrival),
             ..watching
         };
-        assert!(matches!(n1.recv(&[5], with_deadline, Ns::ZERO), Wait::PeersDone));
+        assert!(matches!(
+            n1.recv(&[5], with_deadline, Ns::ZERO),
+            Wait::PeersDone
+        ));
     }
 
     #[test]

@@ -580,11 +580,10 @@ impl LockstepSched {
     }
 
     /// Settle a *blocking pick*: the node is about to take a packet with
-    /// virtual arrival `t`, and must first know that no packet arriving
-    /// earlier can still reach its inbox. Exactly
-    /// [`LockstepSched::poll_quiesce`] except that the floor stays at
-    /// `floor`: the taken packet is about to be served, and its response
-    /// may be priced from before `t`.
+    /// virtual arrival `t`, and first waits until no event keyed before
+    /// `t` can still happen. Exactly [`LockstepSched::poll_quiesce`]
+    /// except that the floor stays at `floor`: the pick needs only the
+    /// wait, and a floor left low is always sound.
     pub fn settle(&self, node: usize, t: Ns, seen_deliveries: u64, floor: Ns) -> bool {
         self.quiesce(node, t, seen_deliveries, floor, false)
     }
@@ -1181,7 +1180,10 @@ mod tests {
         let mut s = sched.state.lock().unwrap();
         sched.deliver_locked(&mut s, 1, Ns(42));
         drop(s);
-        assert_eq!(sched.park(1, seen, Until::FOREVER, Ns(0)), WakeReason::Delivered);
+        assert_eq!(
+            sched.park(1, seen, Until::FOREVER, Ns(0)),
+            WakeReason::Delivered
+        );
     }
 
     #[test]
@@ -1347,7 +1349,10 @@ mod tests {
         sched.finish_transmit(0, 1, Ns(11_000));
         assert_eq!(sched.delivery_count(1), seen + 1);
         // The delivery is already counted, so node 1's park bounces.
-        assert_eq!(sched.park(1, seen, Until::FOREVER, Ns(0)), WakeReason::Delivered);
+        assert_eq!(
+            sched.park(1, seen, Until::FOREVER, Ns(0)),
+            WakeReason::Delivered
+        );
     }
 
     /// A driven deadline wait on an empty inbox times out at once: the

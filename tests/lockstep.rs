@@ -306,7 +306,10 @@ fn per_receiver_tokens_overlap_disjoint_receivers_at_128_nodes() {
                 None,
                 Ns::from_secs(3600),
             );
-            let pkt = nic.recv(&[0], Until::FOREVER, Ns::ZERO).got().expect("a packet");
+            let pkt = nic
+                .recv(&[0], Until::FOREVER, Ns::ZERO)
+                .got()
+                .expect("a packet");
             assert_eq!(pkt.src, (i + N - 1) % N, "ring delivery broke");
         }));
     }
@@ -362,5 +365,9 @@ fn diff_storm_read_ns() -> u64 {
 #[test]
 fn diff_storm_prices_one_modeled_cost() {
     let costs: std::collections::BTreeSet<u64> = (0..32).map(|_| diff_storm_read_ns()).collect();
-    assert_eq!(costs.len(), 1, "storm reps disagree on the modeled cost: {costs:?}");
+    assert_eq!(
+        costs.len(),
+        1,
+        "storm reps disagree on the modeled cost: {costs:?}"
+    );
 }
