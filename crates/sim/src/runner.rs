@@ -37,8 +37,8 @@ pub struct NodeOutcome<R> {
 /// Spawn `nprocs` node threads, run `body` on each, and join.
 ///
 /// The outcome vector is ordered by node id. Panics in any node are
-/// propagated (a protocol deadlock shows up as a hung test, which is
-/// intentional: blocking is real blocking).
+/// propagated. A protocol deadlock does not hang the run: the lockstep
+/// scheduler panics naming the parked nodes once no event is left.
 pub fn run_cluster<R, F>(nprocs: usize, params: Arc<SimParams>, body: F) -> Vec<NodeOutcome<R>>
 where
     R: Send + 'static,

@@ -89,8 +89,11 @@
 //! hazard, so transmits grant in call order, and a deadline wait on an
 //! empty inbox times out at once, in virtual time.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::cell::RefCell;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::thread::{self, Thread};
 
 use crate::time::Ns;
 
@@ -215,11 +218,9 @@ struct NodeSt {
     /// Declared substrate lookahead (see module docs). Zero until a
     /// substrate claims better; zero is always safe, only slower.
     lookahead: Ns,
-    /// Count of packets ever delivered to this node's inbox. Parking
-    /// passes the last value it observed before draining; a mismatch
-    /// means a delivery raced the park and the node must re-drain instead
-    /// of sleeping (the classic eventcount handshake).
-    deliveries: u64,
+    /// The thread blocked in `Pending` or `Parked`, stored when it
+    /// committed and taken by the release that wakes it.
+    waiter: Option<Thread>,
 }
 
 /// A granted transmit that has not yet called `finish_transmit`: it holds
@@ -251,47 +252,63 @@ struct State {
 /// (`Arc`) by every node thread; all methods are called from node
 /// threads (the scheduler has no thread of its own).
 ///
-/// One condvar per node, not one shared: a grant releases exactly one
-/// thread, and waking the whole cluster to have everyone re-check and
-/// re-sleep is a futex storm that dominates the scheduler's wall-clock
-/// overhead on poll-heavy workloads.
-///
-/// Release signals travel through `sigs`, one atomic per node, set
-/// (while the state lock is held) by whichever thread decides the
-/// release and consumed by the single blocked owner. Keeping the signal
-/// outside the mutex lets waiters *spin briefly before sleeping*
-/// (`await_signal`): the typical grant handoff — the
-/// dispatching thread marks a transmit granted, the granted thread
-/// resumes, reserves its links, and finishes — is far shorter than a
-/// futex round trip, and under [`TokenMode::Single`] that wake latency
-/// sits on the fully serialized critical path of *every* transmit in
-/// the cluster.
+/// A blocked node thread sleeps at once in `thread::park` and is woken
+/// by exactly one `unpark`: a release wakes one thread, never the
+/// cluster. Release signals travel through `sigs`, one atomic per node,
+/// set under the state lock by whichever thread decides the release and
+/// consumed by the single blocked owner. The unpark itself is issued
+/// only after the state lock is dropped (see `Locked`), so the
+/// critical section that every other node waits on holds no wake
+/// syscall.
 pub struct LockstepSched {
     state: Mutex<State>,
-    /// Per-node sleep slots, each with its own mutex: a waiter must never
-    /// sleep holding (or contending for) the state lock — with a hundred
-    /// parked nodes that one lock becomes the whole cluster's convoy.
-    waiters: Vec<WaitSlot>,
     /// Per-node release signal: `SIG_NONE` or an encoded [`WakeReason`].
     sigs: Vec<AtomicU8>,
-    /// Busy-wait iterations before yielding in [`LockstepSched::await_signal`].
-    /// Zero on a single-CPU host: spinning there steals the only core from
-    /// the thread that would post the signal.
-    spins: u32,
-    /// `yield_now` rounds before the condvar sleep. Sized to the cluster:
-    /// small clusters have short waits where a yield beats a futex round
-    /// trip; at 100+ threads every yield walks a long run queue, so
-    /// sleeping promptly is cheaper for everyone.
-    yields: u32,
+    /// Per-node count of packets ever delivered to the node's inbox,
+    /// bumped under the state lock and read without it
+    /// ([`LockstepSched::delivery_count`]). Parking passes the last value
+    /// the node observed before draining; a mismatch means a delivery
+    /// raced the park and the node must re-drain instead of sleeping (the
+    /// classic eventcount handshake).
+    deliveries: Vec<AtomicU64>,
     /// Every node is driven (module docs, "Driven nodes"): all floors
     /// are +∞.
     driven: bool,
 }
 
-/// One node's private sleep slot (see [`LockstepSched::await_signal`]).
-struct WaitSlot {
-    m: Mutex<()>,
-    cv: Condvar,
+thread_local! {
+    /// Node threads released by the critical section this thread holds,
+    /// unparked when its [`Locked`] guard drops.
+    static RELEASED: RefCell<Vec<Thread>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The state lock, held. Fields drop in declaration order: the mutex
+/// guard first, then [`Unpark`], which wakes every node thread released
+/// inside the critical section once the lock is already free.
+struct Locked<'a> {
+    s: MutexGuard<'a, State>,
+    _unpark: Unpark,
+}
+
+struct Unpark;
+
+impl Drop for Unpark {
+    fn drop(&mut self) {
+        RELEASED.with(|r| r.borrow_mut().drain(..).for_each(|t| t.unpark()));
+    }
+}
+
+impl Deref for Locked<'_> {
+    type Target = State;
+    fn deref(&self) -> &State {
+        &self.s
+    }
+}
+
+impl DerefMut for Locked<'_> {
+    fn deref_mut(&mut self) -> &mut State {
+        &mut self.s
+    }
 }
 
 /// No release pending.
@@ -346,7 +363,7 @@ impl LockstepSched {
                 st: St::Running { floor },
                 seq: 0,
                 lookahead: Ns::ZERO,
-                deliveries: 0,
+                waiter: None,
             })
             .collect();
         LockstepSched {
@@ -356,19 +373,18 @@ impl LockstepSched {
                 tokens,
                 max_grants: 0,
             }),
-            waiters: (0..n)
-                .map(|_| WaitSlot {
-                    m: Mutex::new(()),
-                    cv: Condvar::new(),
-                })
-                .collect(),
             sigs: (0..n).map(|_| AtomicU8::new(SIG_NONE)).collect(),
-            spins: match std::thread::available_parallelism() {
-                Ok(p) if p.get() > 1 => 200,
-                _ => 0,
-            },
-            yields: if n <= 32 { 8 } else { 2 },
+            deliveries: (0..n).map(|_| AtomicU64::new(0)).collect(),
             driven,
+        }
+    }
+
+    /// Take the state lock. Every critical section goes through here, so
+    /// every release it makes is unparked when the guard drops.
+    fn lock(&self) -> Locked<'_> {
+        Locked {
+            s: self.state.lock().unwrap(),
+            _unpark: Unpark,
         }
     }
 
@@ -381,19 +397,31 @@ impl LockstepSched {
         }
     }
 
-    /// Post `node`'s release signal. Must be called with the state lock
-    /// held: the lock serializes signal production with the node's state
-    /// transition, and a node has at most one release per blocked episode
-    /// (its state leaves `Pending`/`Parked` in the same critical section
-    /// that posts the signal, so no second producer can fire). Taking the
-    /// slot mutex around the notify closes the lost-wakeup window against
-    /// a waiter that checked `sigs` just before the store and is about to
-    /// sleep (lock order is always state -> slot, never the reverse).
-    fn signal(&self, node: usize, reason: WakeReason) {
+    /// Commit `node`'s thread to the blocked state `st` (`Pending` or
+    /// `Parked`), storing its handle for the release that will wake it.
+    fn block(s: &mut State, node: usize, st: St) {
+        let n = &mut s.nodes[node];
+        n.st = st;
+        n.waiter = Some(thread::current());
+    }
+
+    /// Release blocked `node` to `Running { floor }` and post its signal.
+    /// Called with the state lock held: the lock serializes the signal
+    /// with the node's state transition, and a node has at most one
+    /// release per blocked episode (its state leaves `Pending`/`Parked`
+    /// here, so no second producer can fire). The stored thread is queued
+    /// for an unpark after the lock drops, unless it is this thread — a
+    /// self-grant needs no wake. An unpark that lands before the waiter
+    /// sleeps is not lost: `park` keeps the token and returns at once.
+    fn release(&self, s: &mut State, node: usize, floor: Ns, reason: WakeReason) {
+        let n = &mut s.nodes[node];
+        n.st = St::Running { floor };
         self.sigs[node].store(sig_encode(reason), Ordering::Release);
-        let slot = &self.waiters[node];
-        drop(slot.m.lock().unwrap());
-        slot.cv.notify_one();
+        if let Some(t) = n.waiter.take() {
+            if t.id() != thread::current().id() {
+                RELEASED.with(|r| r.borrow_mut().push(t));
+            }
+        }
     }
 
     /// Consume `node`'s release signal, if posted. Only ever called by
@@ -402,36 +430,17 @@ impl LockstepSched {
         sig_decode(self.sigs[node].swap(SIG_NONE, Ordering::Acquire))
     }
 
-    /// Block `node`'s thread until its release signal is posted:
-    /// spin briefly when a second CPU could be posting it concurrently
-    /// (the grant handoff is usually much shorter than a futex round
-    /// trip), politely yield a few times (on a single CPU this hands the
-    /// core straight to the would-be signaler), then sleep on the node's
-    /// *private* condvar — never on the state lock, which the signaler
-    /// and every other node need. The wait mechanics are invisible to
-    /// the virtual schedule — release decisions are made entirely from
-    /// virtual state under the state lock — so this is pure wall-clock
-    /// tuning.
+    /// Block `node`'s thread until its release signal is posted. The
+    /// thread sleeps at once, never on the state lock; a spurious return
+    /// from `park` (a token left by an earlier episode) just re-checks.
+    /// Release decisions are made entirely from virtual state under the
+    /// state lock, so how the thread waits is invisible to the schedule.
     fn await_signal(&self, node: usize) -> WakeReason {
-        for _ in 0..self.spins {
-            if let Some(r) = self.take_sig(node) {
-                return r;
-            }
-            std::hint::spin_loop();
-        }
-        for _ in 0..self.yields {
-            if let Some(r) = self.take_sig(node) {
-                return r;
-            }
-            std::thread::yield_now();
-        }
-        let slot = &self.waiters[node];
-        let mut g = slot.m.lock().unwrap();
         loop {
             if let Some(r) = self.take_sig(node) {
                 return r;
             }
-            g = slot.cv.wait(g).unwrap();
+            thread::park();
         }
     }
 
@@ -441,20 +450,19 @@ impl LockstepSched {
     /// dispatcher release events sooner; `Ns::ZERO` (the default) is
     /// always safe.
     pub fn declare_lookahead(&self, node: usize, la: Ns) {
-        let mut s = self.state.lock().unwrap();
-        s.nodes[node].lookahead = la;
+        self.lock().nodes[node].lookahead = la;
     }
 
     /// The declared lookahead for `node` (diagnostics / tests).
     pub fn lookahead(&self, node: usize) -> Ns {
-        self.state.lock().unwrap().nodes[node].lookahead
+        self.lock().nodes[node].lookahead
     }
 
     /// The highest number of simultaneously in-flight (granted but not
     /// finished) transmits observed so far. Always ≤ 1 under
     /// [`TokenMode::Single`]; ≥ 2 proves per-receiver grants overlapped.
     pub fn max_concurrent_grants(&self) -> usize {
-        self.state.lock().unwrap().max_grants
+        self.lock().max_grants
     }
 
     /// Phase one of the two-phase link reservation: announce a transmit
@@ -471,18 +479,22 @@ impl LockstepSched {
     /// has a single writer at a time.
     pub fn request_transmit(&self, node: usize, dst: usize, inject: Ns, floor_after: Ns) {
         let floor_after = self.floor(floor_after);
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.lock();
         let seq = s.nodes[node].next_seq();
         let key = Key {
             t: inject,
             node,
             seq,
         };
-        s.nodes[node].st = St::Pending {
-            key,
-            floor_after,
-            dst,
-        };
+        Self::block(
+            &mut s,
+            node,
+            St::Pending {
+                key,
+                floor_after,
+                dst,
+            },
+        );
         self.dispatch(&mut s);
         drop(s);
         self.await_signal(node);
@@ -493,11 +505,11 @@ impl LockstepSched {
     /// the sender's rx-link token and wakes `dst` if it is parked. For a
     /// loopback or a delivery to a finished node pass `dst == node` /
     /// the dead node; both degenerate gracefully.
-    pub fn finish_transmit(&self, node: usize, dst: usize, arrival: Ns) {
-        let mut s = self.state.lock().unwrap();
+    pub fn finish_transmit(&self, node: usize, dst: usize, _arrival: Ns) {
+        let mut s = self.lock();
         s.in_flight.retain(|f| f.src != node);
         if dst != node {
-            self.deliver_locked(&mut s, dst, arrival);
+            self.deliver_locked(&mut s, dst);
         }
         self.dispatch(&mut s);
     }
@@ -505,9 +517,18 @@ impl LockstepSched {
     /// The number of packets ever delivered to `node`'s inbox. Capture
     /// this *before* draining the inbox and pass it to
     /// [`LockstepSched::park`]; the scheduler refuses to sleep if a
-    /// delivery has happened since, closing the drain/park race.
+    /// delivery has happened since, closing the drain/park race. Read
+    /// without the state lock: the `Acquire` pairs with the increment's
+    /// `Release`, so every packet pushed before the count reached the
+    /// value read is visible to the caller's drain.
     pub fn delivery_count(&self, node: usize) -> u64 {
-        self.state.lock().unwrap().nodes[node].deliveries
+        self.deliveries[node].load(Ordering::Acquire)
+    }
+
+    /// [`LockstepSched::delivery_count`] read under the state lock, which
+    /// orders it against every increment.
+    fn delivered_since(&self, node: usize, seen: u64) -> bool {
+        self.deliveries[node].load(Ordering::Relaxed) != seen
     }
 
     /// Park `node` until a packet is delivered to it, until
@@ -530,8 +551,8 @@ impl LockstepSched {
     /// reached and is cancelled the moment it is gone.
     pub fn park(&self, node: usize, seen_deliveries: u64, until: Until, floor: Ns) -> WakeReason {
         let floor = self.floor(floor);
-        let mut s = self.state.lock().unwrap();
-        if s.nodes[node].deliveries != seen_deliveries {
+        let mut s = self.lock();
+        if self.delivered_since(node, seen_deliveries) {
             // A delivery raced our drain; don't sleep on a stale view.
             return WakeReason::Delivered;
         }
@@ -544,11 +565,15 @@ impl LockstepSched {
             let seq = s.nodes[node].next_seq();
             Key { t, node, seq }
         });
-        s.nodes[node].st = St::Parked {
-            deadline,
-            floor,
-            watch: until.watch.map(|w| w.to_vec()),
-        };
+        Self::block(
+            &mut s,
+            node,
+            St::Parked {
+                deadline,
+                floor,
+                watch: until.watch.map(|w| w.to_vec()),
+            },
+        );
         self.dispatch(&mut s);
         drop(s);
         self.await_signal(node)
@@ -591,8 +616,8 @@ impl LockstepSched {
     fn quiesce(&self, node: usize, t: Ns, seen_deliveries: u64, floor: Ns, raise: bool) -> bool {
         let floor = self.floor(floor);
         {
-            let mut s = self.state.lock().unwrap();
-            if s.nodes[node].deliveries != seen_deliveries {
+            let mut s = self.lock();
+            if self.delivered_since(node, seen_deliveries) {
                 return false;
             }
             // Fast path: the poll's deadline event would be granted the
@@ -648,7 +673,7 @@ impl LockstepSched {
             WakeReason::PeersDone => unreachable!("no watch set"),
             WakeReason::Timeout => {
                 if raise {
-                    let mut s = self.state.lock().unwrap();
+                    let mut s = self.lock();
                     let la = s.nodes[node].lookahead;
                     if let St::Running { floor } = &mut s.nodes[node].st {
                         *floor = (*floor).max(t + la);
@@ -663,7 +688,7 @@ impl LockstepSched {
     /// `node`'s NIC has left the fabric: it produces no further events.
     /// Called on the node's own thread (from the NIC handle's drop).
     pub fn mark_done(&self, node: usize) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.lock();
         s.nodes[node].st = St::Done;
         // If the node unwound between its grant and `finish_transmit`
         // (a panic mid-reservation), free its rx-link token so the rest
@@ -691,26 +716,22 @@ impl LockstepSched {
                 St::Parked { floor, .. } => floor,
                 _ => unreachable!(),
             };
-            s.nodes[i].st = St::Running { floor };
-            self.signal(i, WakeReason::PeersDone);
+            self.release(&mut s, i, floor, WakeReason::PeersDone);
         }
         self.dispatch(&mut s);
     }
 
-    /// Deliver-without-transmit: wake `dst` for a packet that reached its
-    /// inbox outside the two-phase path (shutdown races deliver nothing;
-    /// loopbacks never leave the node). Exposed for the fabric only.
-    fn deliver_locked(&self, s: &mut State, dst: usize, _arrival: Ns) {
-        let n = &mut s.nodes[dst];
-        n.deliveries += 1;
-        if let St::Parked { floor, .. } = n.st {
+    /// Count a packet that reached `dst`'s inbox and wake `dst` if it is
+    /// parked. Called with the state lock held, after the push.
+    fn deliver_locked(&self, s: &mut State, dst: usize) {
+        self.deliveries[dst].fetch_add(1, Ordering::Release);
+        if let St::Parked { floor, .. } = s.nodes[dst].st {
             // Resume with the park floor unchanged: the woken node might
             // react to an *earlier-queued* packet on another port, not the
             // one that woke it, so the arrival time of the waking packet
             // is not a sound lower bound — the park floor still is (the
             // preemptible window only moves forward while blocked).
-            n.st = St::Running { floor };
-            self.signal(dst, WakeReason::Delivered);
+            self.release(s, dst, floor, WakeReason::Delivered);
         }
         // Running / Pending / Done nodes will find the packet when they
         // next drain; their floors already bound any response to it.
@@ -751,7 +772,8 @@ impl LockstepSched {
     }
 
     /// Grant every releasable event. Called with the state lock held
-    /// after every transition; wakes each granted node's own condvar.
+    /// after every transition; each granted node is unparked once the
+    /// lock drops.
     ///
     /// Candidates are scanned in key order. Under [`TokenMode::Single`]
     /// only the global minimum is ever considered and nothing is granted
@@ -828,20 +850,18 @@ impl LockstepSched {
                     Cand::Transmit { dst, floor_after } => {
                         s.in_flight.push(InFlight { key, src: idx, dst });
                         s.max_grants = s.max_grants.max(s.in_flight.len());
-                        s.nodes[idx].st = St::Running { floor: floor_after };
+                        self.release(s, idx, floor_after, WakeReason::Delivered);
                         // The granted sender runs again below this floor's
                         // horizon; later candidates must respect it.
                         min_running = min_running.min(floor_after);
-                        self.signal(idx, WakeReason::Delivered);
                     }
                     Cand::Deadline { .. } => {
                         let floor = match s.nodes[idx].st {
                             St::Parked { floor, .. } => floor,
                             _ => unreachable!(),
                         };
-                        s.nodes[idx].st = St::Running { floor };
+                        self.release(s, idx, floor, WakeReason::Timeout);
                         min_running = min_running.min(floor);
-                        self.signal(idx, WakeReason::Timeout);
                     }
                     Cand::Granted => unreachable!("tombstones are never granted"),
                 }
@@ -1177,9 +1197,7 @@ mod tests {
         let seen = sched.delivery_count(1);
         // A transmit completes after the count was read but before the
         // park: the park must bounce back as Delivered.
-        let mut s = sched.state.lock().unwrap();
-        sched.deliver_locked(&mut s, 1, Ns(42));
-        drop(s);
+        sched.deliver_locked(&mut sched.lock(), 1);
         assert_eq!(
             sched.park(1, seen, Until::FOREVER, Ns(0)),
             WakeReason::Delivered
@@ -1199,14 +1217,76 @@ mod tests {
             s2.finish_transmit(1, 0, Ns(12_000));
         });
         // Stand node 0 up as Running{floor: 10_000}: park then release
-        // by delivery is the mechanism, so emulate directly.
+        // by delivery is the mechanism, so emulate directly. Dropping the
+        // guard unparks node 1's thread if this dispatch granted it.
         {
-            let mut s = sched.state.lock().unwrap();
+            let mut s = sched.lock();
             s.nodes[0].st = St::Running { floor: Ns(10_000) };
             sched.dispatch(&mut s);
-            // dispatch notifies the granted node's condvar itself.
         }
         t.join().unwrap();
+    }
+
+    /// A release posted after the waiter committed to `Parked` but before
+    /// it sleeps is not lost: the release takes the stored handle and
+    /// unparks it, and the late `await_signal` returns `Delivered`.
+    #[test]
+    fn release_before_sleep_is_not_lost() {
+        let sched = Arc::new(LockstepSched::new(2));
+        let committed = Arc::new(std::sync::Barrier::new(2));
+        let released = Arc::new(std::sync::Barrier::new(2));
+        let waiter = {
+            let (sched, committed, released) = (
+                Arc::clone(&sched),
+                Arc::clone(&committed),
+                Arc::clone(&released),
+            );
+            thread::spawn(move || {
+                let parked = St::Parked {
+                    deadline: None,
+                    floor: Ns(0),
+                    watch: None,
+                };
+                LockstepSched::block(&mut sched.lock(), 1, parked);
+                committed.wait();
+                released.wait();
+                sched.await_signal(1)
+            })
+        };
+        committed.wait();
+        {
+            let mut s = sched.lock();
+            sched.deliver_locked(&mut s, 1);
+            assert!(s.nodes[1].waiter.is_none(), "the release took the handle");
+            assert_eq!(RELEASED.with(|r| r.borrow().len()), 1);
+        }
+        assert!(RELEASED.with(|r| r.borrow().is_empty()), "unparked on drop");
+        released.wait();
+        assert_eq!(waiter.join().unwrap(), WakeReason::Delivered);
+    }
+
+    /// A transmit granted in the critical section that requested it
+    /// queues no unpark: the releasing thread is the waiter.
+    #[test]
+    fn self_grant_queues_no_wake() {
+        let sched = LockstepSched::new_driven(2, TokenMode::default());
+        let mut s = sched.lock();
+        let pending = St::Pending {
+            key: Key {
+                t: Ns(1_000),
+                node: 0,
+                seq: 1,
+            },
+            floor_after: INF,
+            dst: 1,
+        };
+        LockstepSched::block(&mut s, 0, pending);
+        sched.dispatch(&mut s);
+        assert!(matches!(s.nodes[0].st, St::Running { .. }), "granted");
+        assert!(s.nodes[0].waiter.is_none());
+        assert!(RELEASED.with(|r| r.borrow().is_empty()));
+        drop(s);
+        assert_eq!(sched.await_signal(0), WakeReason::Delivered);
     }
 
     /// Two concurrent pollers whose stale floors sit below each other's
@@ -1240,9 +1320,7 @@ mod tests {
     fn poll_raced_by_delivery_returns_false() {
         let sched = LockstepSched::new(2);
         let seen = sched.delivery_count(1);
-        let mut s = sched.state.lock().unwrap();
-        sched.deliver_locked(&mut s, 1, Ns(42));
-        drop(s);
+        sched.deliver_locked(&mut sched.lock(), 1);
         assert!(!sched.poll_quiesce(1, Ns(100), seen, Ns(0)));
     }
 
@@ -1276,9 +1354,7 @@ mod tests {
     fn done_watch_park_yields_to_deliveries() {
         let sched = LockstepSched::new(2);
         let seen = sched.delivery_count(0);
-        let mut s = sched.state.lock().unwrap();
-        sched.deliver_locked(&mut s, 0, Ns(42));
-        drop(s);
+        sched.deliver_locked(&mut sched.lock(), 0);
         assert_eq!(
             sched.park(0, seen, watching(&[1]), Ns(0)),
             WakeReason::Delivered
@@ -1292,10 +1368,7 @@ mod tests {
     fn deadline_done_watch_park_releases_both_ways() {
         // Timeout first: peer 0 stays alive (running with a high floor).
         let sched = Arc::new(LockstepSched::new(2));
-        {
-            let mut s = sched.state.lock().unwrap();
-            s.nodes[0].st = St::Running { floor: Ns(1_000_000) };
-        }
+        sched.lock().nodes[0].st = St::Running { floor: Ns(1_000_000) };
         let s2 = Arc::clone(&sched);
         let t = thread::spawn(move || {
             let seen = s2.delivery_count(1);
